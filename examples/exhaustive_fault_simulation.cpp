@@ -4,7 +4,7 @@
 // when the lemma fails).
 //
 //   ./exhaustive_fault_simulation [options]
-//     --n <3..6>            cluster size              (default 3)
+//     --n <2..8>            cluster size              (default 3)
 //     --lemma <name>        safety|liveness|timeliness|safety_2|
 //                           hub_agreement|reintegration
 //     --faulty-node <id>    inject a Byzantine node
@@ -30,16 +30,15 @@
 //                           re-concretized against the raw model
 //     --threads <k>         worker threads for the parallel engine
 //                           (default: TTSTART_THREADS env, else all cores)
-//     --store <kind>        locked|lockfree|lockfree-fp explicit-state store
-//                           backend (default locked); lockfree is the
-//                           CAS-based store with closed-set compression and
-//                           write-behind spill; lockfree-fp additionally
-//                           drops sealed page bodies and keeps 64-bit
-//                           fingerprints, re-expanding predecessor paths on
-//                           collision (exact verdicts, DESIGN.md §3.9)
+//     --store <kind>        locked|lockfree explicit-state store backend
+//                           (default locked); lockfree is the CAS-based
+//                           store with closed-set compression and
+//                           write-behind spill (DESIGN.md §3.9)
 //     --mem-budget-mb <mb>  in-RAM budget for the lockfree store: sealed
 //                           compressed pages past the budget spill to disk
-//                           asynchronously; counts and verdicts stay exact
+//                           asynchronously; counts and verdicts stay exact.
+//                           The locked store has no spill tier, so a budget
+//                           or --spill-dir with it is a usage error
 //     --spill-dir <path>    directory for the per-shard spill files
 //                           (default: TTSTART_SPILL_DIR, else TMPDIR, else
 //                           /tmp); an unwritable directory is a hard error,
@@ -48,6 +47,7 @@
 //                           Perfetto) of the run
 //     --progress <sec>      print a heartbeat line every <sec> seconds
 //     --quiet               suppress heartbeat lines (tracing unaffected)
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -98,10 +98,14 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // Full-match integer parse: trailing junk or a non-number is a usage
+    // error, never a silent 0.
     auto next_int = [&](int& out) {
       if (i + 1 >= argc) return false;
-      out = std::atoi(argv[++i]);
-      return true;
+      const char* text = argv[++i];
+      const char* end = text + std::strlen(text);
+      const auto [ptr, ec] = std::from_chars(text, end, out);
+      return ec == std::errc{} && ptr == end;
     };
     if (arg == "--n") {
       if (!next_int(cfg.n)) return usage();
@@ -215,13 +219,11 @@ int main(int argc, char** argv) {
     // spill_bytes / spill_async_pages columns to prove an out-of-core run
     // actually went through the write-behind pipeline.
     std::printf("store: %s  cas_retries=%zu pages_compressed=%zu spill_bytes=%zu "
-                "bloom_negatives=%zu spill_async_pages=%zu spill_sync_waits=%zu "
-                "fp_collisions=%zu reexpansions=%zu\n",
+                "bloom_negatives=%zu spill_async_pages=%zu spill_sync_waits=%zu\n",
                 mc::to_string(opts.store.kind), result.stats.cas_retries,
                 result.stats.pages_compressed, result.stats.spill_bytes,
                 result.stats.bloom_negatives, result.stats.spill_async_pages,
-                result.stats.spill_sync_waits, result.stats.fp_collisions,
-                result.stats.reexpansions);
+                result.stats.spill_sync_waits);
   }
   if (result.engine_used == mc::EngineKind::kParallel && !core::is_invariant_lemma(lemma)) {
     std::printf("owcty: trim_rounds=%zu residue_states=%zu\n", result.stats.trim_rounds,

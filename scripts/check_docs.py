@@ -126,11 +126,9 @@ def check_reduction_names(root, failures):
 
 
 def check_store_names(root, failures):
-    # Store names may contain '-' ("lockfree-fp"), so the name class is
-    # [\w-] rather than \w both here and in the alternation scan below.
     header = read(root, "src/mc/engine.hpp")
     stores = [m for m in re.findall(
-        r'case StoreKind::k\w+:\s*return "([\w-]+)";', header)]
+        r'case StoreKind::k\w+:\s*return "(\w+)";', header)]
     if not stores:
         fail(failures, "src/mc/engine.hpp: found no StoreKind names "
                        "(regex drift?)")
@@ -144,7 +142,7 @@ def check_store_names(root, failures):
     # Every `--store a|b` alternation in the docs must equal the real set.
     for rel in ("README.md", "examples/exhaustive_fault_simulation.cpp"):
         text = read(root, rel)
-        for alt in re.findall(r"--store[ <]+((?:[\w-]+\\?\|)+[\w-]+)", text):
+        for alt in re.findall(r"--store[ <]+((?:\w+\\?\|)+\w+)", text):
             listed = alt.replace("\\", "").split("|")
             if sorted(listed) != sorted(stores):
                 fail(failures, f"{rel}: '--store {alt}' lists {listed}, but "

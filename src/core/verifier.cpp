@@ -158,6 +158,11 @@ tta::ClusterConfig prepare_config(tta::ClusterConfig cfg, Lemma lemma) {
 
 VerificationResult verify(const tta::ClusterConfig& raw_cfg, Lemma lemma,
                           const VerifyOptions& opts) {
+  // Only the lock-free store has a spill tier; a budget on the locked store
+  // would otherwise be silently ignored and the run would stay in RAM.
+  TT_REQUIRE(opts.store.kind != mc::StoreKind::kShardedLocked ||
+                 (opts.store.mem_budget_bytes == 0 && opts.store.spill_dir.empty()),
+             "a memory budget or spill directory needs the lockfree store");
   const tta::ClusterConfig cfg = prepare_config(raw_cfg, lemma);
   const bool reduced = opts.reduction != mc::ReductionKind::kNone;
   // Top-level span: one per verify() call, detail = lemma (static storage

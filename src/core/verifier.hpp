@@ -76,9 +76,10 @@ struct VerifyOptions {
   /// Explicit-state storage backend (DESIGN.md §3.7). kShardedLocked is the
   /// per-shard-mutex store; kLockFree is the CAS-based store that also
   /// compresses sealed BFS levels and, with store.mem_budget_bytes set,
-  /// spills them to disk so beyond-RAM runs complete with exact counts.
-  /// Ignored by the symbolic engine. Verdicts, counts and traces are
-  /// bit-identical across backends.
+  /// spills them to disk so beyond-RAM runs complete with exact counts;
+  /// verify() rejects a budget or spill directory on kShardedLocked with
+  /// std::invalid_argument. Ignored by the symbolic engine. Verdicts, counts
+  /// and traces are bit-identical across backends.
   mc::StoreOptions store;
 };
 

@@ -13,7 +13,7 @@
 
 namespace tt {
 
-/// One measurement row of the ttstart-bench-v8 schema (the `experiment`
+/// One measurement row of the ttstart-bench-v9 schema (the `experiment`
 /// keys are the ones EXPERIMENTS.md's claim→command table points at).
 struct BenchRecord {
   std::string experiment;  ///< e.g. "fig6/safety/n4"
@@ -62,14 +62,10 @@ struct BenchRecord {
   long long proviso_fallbacks = -1;
   /// Out-of-core pipeline columns (schema v7; DESIGN.md §3.9): synchronous
   /// barriers the write-behind pipeline had to take, sealed pages handed to
-  /// the I/O thread without blocking, genuine fingerprint collisions, and
-  /// predecessor-path re-expansions under `--store lockfree-fp`; plus the
-  /// store-resident byte footprint at run end. Negative = not applicable,
-  /// omitted from the JSON.
+  /// the I/O thread without blocking, and the store-resident byte footprint
+  /// at run end. Negative = not applicable, omitted from the JSON.
   long long spill_sync_waits = -1;
   long long spill_async_pages = -1;
-  long long fp_collisions = -1;
-  long long reexpansions = -1;
   long long resident_bytes = -1;
   /// Proof-engine columns (schema v8; DESIGN.md §3.10): SAT solve() calls on
   /// the run's single incremental solver (for bounded BMC exactly one per

@@ -96,6 +96,37 @@ TEST(Verifier, CounterexampleTraceIsWellFormed) {
   }
 }
 
+TEST(Verifier, MemoryBudgetNeedsTheLockFreeStore) {
+  // The locked store has no spill tier: a budget or spill directory on it
+  // is rejected instead of silently running the whole search in RAM.
+  VerifyOptions budget;
+  budget.store.mem_budget_bytes = 1;
+  EXPECT_THROW((void)verify(tiny(), Lemma::kSafety, budget), std::invalid_argument);
+  VerifyOptions spill_dir;
+  spill_dir.store.spill_dir = ".";
+  EXPECT_THROW((void)verify(tiny(), Lemma::kSafety, spill_dir), std::invalid_argument);
+  budget.store.kind = mc::StoreKind::kLockFree;
+  EXPECT_TRUE(verify(tiny(), Lemma::kSafety, budget).holds);
+}
+
+TEST(Verifier, ParallelInvariantMemoryTracksTheClosedSet) {
+  // fig. 6 safety at n=3 (1,276 states): the parallel engine's reported
+  // footprint must scale with the states it stored, not with fixed
+  // per-shard scaffolding.
+  auto cfg = tiny();
+  cfg.faulty_node = 0;
+  cfg.fault_degree = 6;
+  cfg.init_window = 3;
+  cfg.hub_init_window = 3;
+  VerifyOptions opts;
+  opts.engine = mc::EngineKind::kParallel;
+  opts.threads = 1;
+  const auto r = verify(cfg, Lemma::kSafety, opts);
+  ASSERT_TRUE(r.holds) << r.verdict_text;
+  EXPECT_EQ(r.stats.states, 1276u);
+  EXPECT_LT(r.stats.memory_bytes, std::size_t{2} << 20);
+}
+
 TEST(Verifier, SearchLimitReportedAsNotExhausted) {
   mc::SearchLimits limits;
   limits.max_states = 50;
