@@ -116,6 +116,8 @@ tt::BenchRecord record_of(const std::string& experiment,
   rec.threads = r.stats.threads;
   rec.states = r.stats.states;
   rec.transitions = r.stats.transitions;
+  // Labelled emissions (zero, so omitted, on the proof engines).
+  if (r.stats.emitted > 0) rec.emitted = static_cast<long long>(r.stats.emitted);
   rec.seconds = r.stats.seconds;
   rec.exhausted = r.stats.exhausted;
   rec.verdict = r.holds ? "holds" : "VIOLATED";

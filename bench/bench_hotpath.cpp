@@ -68,10 +68,10 @@ std::vector<State> reachable_states(const tt::tta::Cluster& cluster) {
   return all;
 }
 
-/// The full BFS candidate stream (every enumerated transition's target, in
-/// frontier order) — the realistic duplicate-heavy mix the interning maps
-/// see in production, materialized once so the intern benchmarks measure
-/// map cost only.
+/// The full BFS candidate stream (every distinct transition's target, in
+/// frontier order) — the mix of fresh states and edges into already-interned
+/// ones the interning maps see in production, materialized once so the
+/// intern benchmarks measure map cost only.
 std::vector<State> candidate_stream(const tt::tta::Cluster& cluster,
                                     const std::vector<State>& all, std::size_t cap) {
   std::vector<State> stream;

@@ -186,9 +186,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
-  std::printf("verdict: %s  (states=%zu transitions=%zu depth=%d time=%.2fs mem=%.1fMB)\n",
+  // transitions = distinct edges; emitted = labelled choice combinations the
+  // successor kernel enumerated (DESIGN.md §3.2).
+  std::printf("verdict: %s  (states=%zu transitions=%zu emitted=%zu depth=%d time=%.2fs "
+              "mem=%.1fMB)\n",
               result.verdict_text.c_str(), result.stats.states, result.stats.transitions,
-              result.stats.depth, result.stats.seconds,
+              result.stats.emitted, result.stats.depth, result.stats.seconds,
               static_cast<double>(result.stats.memory_bytes) / 1e6);
   std::printf("engine: %s  threads=%d  states/sec=%.0f%s\n",
               mc::to_string(result.engine_used), result.stats.threads,

@@ -30,7 +30,10 @@ to:
   on the run's single incremental solver — for bounded BMC exactly one per
   depth probed), `clauses_reused` (learned clauses carried across those
   calls), `frames` (IC3 frame count / k-induction unrolling depth) and
-  `proof_obligations` (IC3 obligation-queue pops).
+  `proof_obligations` (IC3 obligation-queue pops);
+- explicit and symbolic engines: `emitted` (labelled successors the model
+  enumerated before duplicate suppression, DESIGN.md 3.2; `transitions`
+  counts the distinct ones, so it never exceeds `emitted`).
 
 Optional numeric fields must be non-negative when present; any other field
 is rejected.
@@ -101,6 +104,7 @@ OPTIONAL_FIELDS = {
     "clauses_reused": int,
     "frames": int,
     "proof_obligations": int,
+    "emitted": int,
 }
 
 REDUCTION_NAMES = ("none", "sym", "por", "sym+por")
@@ -185,6 +189,13 @@ def validate(doc, require, require_engines, require_engine_for, require_reductio
                     errors.append(f"{where} ({exp}): {field} < 0")
             if rec.get("experiment") == "" or rec.get("verdict") == "":
                 errors.append(f"{where}: empty experiment or verdict")
+            emitted = rec.get("emitted")
+            if (
+                isinstance(emitted, int)
+                and isinstance(rec.get("transitions"), int)
+                and rec["transitions"] > emitted
+            ):
+                errors.append(f"{where} ({exp}): transitions > emitted")
         reduction = rec.get("reduction")
         if (
             isinstance(reduction, str)

@@ -30,10 +30,12 @@ tta::Reduction to_tta_reduction(mc::ReductionKind k) {
   return tta::Reduction::kNone;
 }
 
-/// Copies the reduction-layer counters off the cluster into a run's stats
-/// (the EngineOptions::finalize_stats hook for explicit engines; called
-/// directly after symbolic runs, which take bare limits).
-void annotate_reduction_stats(const tta::Cluster& cluster, mc::RunStats& stats) {
+/// Copies the model-layer counters off the cluster into a run's stats (the
+/// EngineOptions::finalize_stats hook for explicit engines; called directly
+/// after symbolic runs, which take bare limits): the labelled emission count
+/// and the reduction counters (zero on an unreduced cluster).
+void annotate_cluster_stats(const tta::Cluster& cluster, mc::RunStats& stats) {
+  stats.emitted = cluster.emitted();
   stats.canon_ops = cluster.canon_ops();
   stats.canon_swaps = cluster.canon_swaps();
   stats.ample_sets = cluster.ample_sets();
@@ -166,7 +168,9 @@ VerificationResult verify(const tta::ClusterConfig& raw_cfg, Lemma lemma,
   const tta::ClusterConfig cfg = prepare_config(raw_cfg, lemma);
   const bool reduced = opts.reduction != mc::ReductionKind::kNone;
   // Top-level span: one per verify() call, detail = lemma (static storage
-  // from to_string), so engine-level spans nest under it in the trace.
+  // from to_string), so engine-level spans nest under it in the trace. A
+  // span carries one argument: an exploratory run ends by replacing n with
+  // its labelled emission count (RunStats::emitted).
   obs::Span verify_span("verify");
   verify_span.set_detail(to_string(lemma));
   verify_span.set_arg("n", cfg.n);
@@ -201,18 +205,15 @@ VerificationResult verify(const tta::ClusterConfig& raw_cfg, Lemma lemma,
       mc::EngineOptions eopts(opts.limits);
       eopts.threads = opts.threads;
       eopts.store = opts.store;
-      if (reduced) {
-        eopts.finalize_stats = [&](mc::RunStats& st) { annotate_reduction_stats(cluster, st); };
-      }
+      eopts.finalize_stats = [&](mc::RunStats& st) { annotate_cluster_stats(cluster, st); };
       return recurrent ? mc::check_always_eventually_with(kind, cluster, goal, eopts)
                        : mc::check_eventually_with(kind, cluster, goal, eopts);
     }();
     out.holds = r.verdict == mc::LivenessVerdict::kHolds;
     out.exhausted = r.verdict != mc::LivenessVerdict::kLimit;
     out.stats = std::move(r.stats);
-    if (reduced && kind == mc::EngineKind::kSymbolic) {
-      annotate_reduction_stats(cluster, out.stats);
-    }
+    if (kind == mc::EngineKind::kSymbolic) annotate_cluster_stats(cluster, out.stats);
+    verify_span.set_arg("emitted", static_cast<std::int64_t>(out.stats.emitted));
     out.trace = std::move(r.trace);
     out.loop_start = r.loop_start;
     out.verdict_text = to_string(r.verdict);
@@ -252,19 +253,16 @@ VerificationResult verify(const tta::ClusterConfig& raw_cfg, Lemma lemma,
                    mc::EngineOptions eopts(opts.limits);
                    eopts.threads = opts.threads;
                    eopts.store = opts.store;
-                   if (reduced) {
-                     eopts.finalize_stats = [&](mc::RunStats& st) {
-                       annotate_reduction_stats(cluster, st);
-                     };
-                   }
+                   eopts.finalize_stats = [&](mc::RunStats& st) {
+                     annotate_cluster_stats(cluster, st);
+                   };
                    return mc::check_invariant_with(kind, cluster, invariant, eopts);
                  }();
   out.holds = r.verdict == mc::Verdict::kHolds;
   out.exhausted = r.verdict != mc::Verdict::kLimit;
   out.stats = std::move(r.stats);
-  if (reduced && kind == mc::EngineKind::kSymbolic) {
-    annotate_reduction_stats(cluster, out.stats);
-  }
+  if (kind == mc::EngineKind::kSymbolic) annotate_cluster_stats(cluster, out.stats);
+  verify_span.set_arg("emitted", static_cast<std::int64_t>(out.stats.emitted));
   out.trace = std::move(r.trace);
   out.verdict_text = to_string(r.verdict);
   if (reduced) {

@@ -11,7 +11,13 @@ namespace tt::mc {
 
 struct RunStats {
   std::size_t states = 0;        ///< distinct states interned
-  std::size_t transitions = 0;   ///< transitions enumerated
+  std::size_t transitions = 0;   ///< distinct edges enumerated
+  /// Labelled successors the model enumerated before duplicate suppression
+  /// (one per choice combination, DESIGN.md §3.2): `transitions <= emitted`,
+  /// and `emitted / transitions` is the duplication the successor kernel
+  /// absorbed. Read off the cluster after the run (a sweeping engine that
+  /// expands a state twice counts it twice); zero for the proof engines.
+  std::size_t emitted = 0;
   int depth = 0;                 ///< max BFS depth / DFS stack depth reached
   double seconds = 0.0;          ///< wall-clock time of the run
   std::size_t memory_bytes = 0;  ///< state store footprint
@@ -41,16 +47,17 @@ struct RunStats {
   std::size_t residue_states = 0;
   /// Symmetry-reduction instrumentation (zero for unreduced runs):
   /// `canon_ops` counts states canonicalized on the emission path (one per
-  /// enumerated transition plus one per emitted initial state), `canon_swaps`
-  /// counts emissions whose channel-swapped image won the orbit minimum
-  /// (DESIGN.md §3.6).
+  /// candidate that reached the packing sink plus one per emitted initial
+  /// state), `canon_swaps` counts candidates whose channel-swapped image won
+  /// the orbit minimum (DESIGN.md §3.6).
   std::size_t canon_ops = 0;
   std::size_t canon_swaps = 0;
   /// Partial-order reduction instrumentation (zero unless the reduction has
-  /// a por component, DESIGN.md §3.8): `ample_sets` counts emissions whose
-  /// independence gate was open, `pruned_combos` those redirected to the
-  /// clamped horizon representative, and `proviso_fallbacks` those the gate
-  /// declined into full expansion.
+  /// a por component, DESIGN.md §3.8), one per candidate that reached the
+  /// packing sink: `ample_sets` counts candidates whose independence gate
+  /// was open, `pruned_combos` those redirected to the clamped horizon
+  /// representative, and `proviso_fallbacks` those the gate declined into
+  /// full expansion.
   std::size_t ample_sets = 0;
   std::size_t pruned_combos = 0;
   std::size_t proviso_fallbacks = 0;

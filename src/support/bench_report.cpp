@@ -75,6 +75,8 @@ std::string render_record(const std::string& bench, const BenchRecord& r) {
   if (r.clauses_reused >= 0) line << ", \"clauses_reused\": " << r.clauses_reused;
   if (r.frames >= 0) line << ", \"frames\": " << r.frames;
   if (r.proof_obligations >= 0) line << ", \"proof_obligations\": " << r.proof_obligations;
+  // Labelled-emission column (successor kernel, DESIGN.md §3.2).
+  if (r.emitted >= 0) line << ", \"emitted\": " << r.emitted;
   line << "}";
   return line.str();
 }

@@ -20,7 +20,7 @@ struct BenchRecord {
   std::string engine;      ///< "seq", "par", "sym", "sat", ...
   int threads = 1;         ///< worker threads the run used (1 = sequential)
   std::size_t states = 0;      ///< distinct states interned/counted
-  std::size_t transitions = 0; ///< transitions explored
+  std::size_t transitions = 0; ///< distinct transitions explored
   double seconds = 0.0;        ///< wall-clock seconds of the measured run
   bool exhausted = true;       ///< false when a search limit stopped the run
   std::string verdict;  ///< "holds", "VIOLATED", ... (optional)
@@ -76,6 +76,10 @@ struct BenchRecord {
   long long clauses_reused = -1;
   long long frames = -1;
   long long proof_obligations = -1;
+  /// Labelled successors the model enumerated before duplicate suppression
+  /// (RunStats::emitted; DESIGN.md §3.2), so `transitions / emitted` is the
+  /// distinct fraction. Negative = not recorded, omitted from the JSON.
+  long long emitted = -1;
 };
 
 /// Reads the minimum "seconds" value among the report-file records matching

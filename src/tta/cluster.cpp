@@ -1,9 +1,13 @@
 #include "tta/cluster.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <memory>
+#include <vector>
 
 #include "support/assert.hpp"
 #include "support/bitpack.hpp"
+#include "support/hash.hpp"
 #include "tta/independence.hpp"
 #include "tta/symmetry.hpp"
 
@@ -205,14 +209,236 @@ void Cluster::initial_states(Emit emit) const {
   }
 }
 
+/// Per-worker working memory of the successor kernel (DESIGN.md §3.2). One
+/// heap object per thread, reused across calls through generation stamps
+/// instead of clearing; only a pointer lives in TLS (a large static TLS
+/// block would be zeroed at every thread start). It holds
+///  * the hub-phase memo of the current *epoch* — one assignment of the
+///    correct nodes' choices inside one step_core call, so every input of a
+///    hub except the faulty node's frame on its channel is fixed: per
+///    channel, that frame -> relay options and decisions, and (frame, relay
+///    option, interlink input, state option) -> a per-epoch id of the
+///    resulting hub value (equal values share one id);
+///  * the (id0, id1) hub pairs already passed to the sink this epoch;
+///  * the packed successors already emitted by the current call.
+class SuccessorScratch {
+ public:
+  struct Relay {
+    int options = 0;
+    RelayDecision decision[kMaxNodes];  ///< correct hub only (options <= n)
+  };
+  struct Result {
+    std::uint16_t id = 0;
+    Frame interlink;  ///< faulty hub: its own interlink output
+  };
+
+  SuccessorScratch() {
+    memo_.resize(std::size_t{1} << memo_bits_);
+    seen_.resize(std::size_t{1} << seen_bits_);
+  }
+
+  /// Starts a successors() call: empties the first-occurrence set.
+  void begin_call() {
+    if (++call_ == 0) {
+      for (SeenSlot& e : seen_) e.stamp = 0;
+      call_ = 1;
+    }
+    seen_count_ = 0;
+    emitted = 0;
+  }
+
+  /// Starts an epoch: forgets every memoised hub result and pair.
+  void begin_epoch() {
+    if (++epoch_ == 0) {
+      for (auto& stamps : frame_epoch_) std::fill(std::begin(stamps), std::end(stamps), 0u);
+      for (MemoSlot& e : memo_) e.epoch = 0;
+      epoch_ = 1;
+    }
+    for (int h = 0; h < kNumChannels; ++h) {
+      relay_used_[h] = 0;
+      values_[h].clear();
+    }
+    memo_count_ = 0;
+    std::fill(std::begin(pairs_), std::end(pairs_), 0u);
+  }
+
+  /// Channel h's relay entry for the faulty node's frame `code` (fill()
+  /// computes it on the first request of the epoch).
+  template <class Fill>
+  const Relay& relay(int h, int code, Fill&& fill) {
+    if (frame_epoch_[h][code] != epoch_) {
+      frame_epoch_[h][code] = epoch_;
+      const int slot = relay_used_[h]++;
+      frame_slot_[h][code] = static_cast<std::uint8_t>(slot);
+      if (static_cast<std::size_t>(slot) == relay_[h].size()) relay_[h].emplace_back();
+      fill(relay_[h][static_cast<std::size_t>(slot)]);
+    }
+    return relay_[h][frame_slot_[h][code]];
+  }
+
+  /// The memoised hub result under `key` (compute() fills it on a miss).
+  template <class Compute>
+  Result result(std::uint32_t key, Compute&& compute) {
+    if (2 * (memo_count_ + 1) > memo_.size()) grow_memo();
+    std::size_t i = memo_index(key);
+    while (memo_[i].epoch == epoch_) {
+      if (memo_[i].key == key) return memo_[i].value;
+      i = (i + 1) & (memo_.size() - 1);
+    }
+    const Result r = compute();
+    memo_[i] = {epoch_, key, r};
+    ++memo_count_;
+    return r;
+  }
+
+  /// Per-epoch id of hub value `v` on channel h (equal values, equal ids).
+  std::uint16_t intern(int h, const HubVars& v) {
+    std::vector<HubVars>& vals = values_[h];
+    for (std::size_t i = 0; i < vals.size(); ++i) {
+      if (vals[i] == v) return static_cast<std::uint16_t>(i);
+    }
+    TT_ASSERT(vals.size() < 0xFFFF);
+    vals.push_back(v);
+    return static_cast<std::uint16_t>(vals.size() - 1);
+  }
+
+  [[nodiscard]] const HubVars& value(int h, std::uint16_t id) const {
+    return values_[h][id];
+  }
+
+  /// False when the pair was already passed on this epoch. Pairs beyond the
+  /// bitmap always pass; the first-occurrence set still catches them.
+  bool first_pair(std::uint16_t id0, std::uint16_t id1) {
+    if (id0 >= kPairIds || id1 >= kPairIds) return true;
+    const std::uint64_t bit = std::uint64_t{1} << id1;
+    if ((pairs_[id0] & bit) != 0) return false;
+    pairs_[id0] |= bit;
+    return true;
+  }
+
+  /// False when `s` was already emitted by the current call.
+  bool first_occurrence(const Cluster::State& s) {
+    if (2 * (seen_count_ + 1) > seen_.size()) grow_seen();
+    std::size_t i = hash_words(s) & (seen_.size() - 1);
+    while (seen_[i].stamp == call_) {
+      if (seen_[i].s == s) return false;
+      i = (i + 1) & (seen_.size() - 1);
+    }
+    seen_[i] = {s, call_};
+    ++seen_count_;
+    return true;
+  }
+
+  bool busy = false;          ///< a successors() call on this thread owns it
+  std::uint64_t emitted = 0;  ///< labelled successors of the current call
+
+ private:
+  static constexpr int kFrameCodes = 64;
+  static constexpr std::uint16_t kPairIds = 64;
+
+  struct MemoSlot {
+    std::uint32_t epoch = 0;
+    std::uint32_t key = 0;
+    Result value;
+  };
+  struct SeenSlot {
+    Cluster::State s{};
+    std::uint32_t stamp = 0;
+  };
+
+  [[nodiscard]] std::size_t memo_index(std::uint32_t key) const {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> (64 - memo_bits_));
+  }
+
+  void grow_memo() {
+    std::vector<MemoSlot> old(std::size_t{1} << ++memo_bits_);
+    old.swap(memo_);
+    for (const MemoSlot& e : old) {
+      if (e.epoch != epoch_) continue;
+      std::size_t i = memo_index(e.key);
+      while (memo_[i].epoch == epoch_) i = (i + 1) & (memo_.size() - 1);
+      memo_[i] = e;
+    }
+  }
+
+  void grow_seen() {
+    std::vector<SeenSlot> old(std::size_t{1} << ++seen_bits_);
+    old.swap(seen_);
+    for (const SeenSlot& e : old) {
+      if (e.stamp != call_) continue;
+      std::size_t i = hash_words(e.s) & (seen_.size() - 1);
+      while (seen_[i].stamp == call_) i = (i + 1) & (seen_.size() - 1);
+      seen_[i] = e;
+    }
+  }
+
+  std::uint32_t epoch_ = 0;
+  std::uint32_t call_ = 0;
+  std::uint32_t frame_epoch_[kNumChannels][kFrameCodes] = {};
+  std::uint8_t frame_slot_[kNumChannels][kFrameCodes] = {};
+  std::vector<Relay> relay_[kNumChannels];
+  int relay_used_[kNumChannels] = {};
+  std::vector<HubVars> values_[kNumChannels];
+  std::vector<MemoSlot> memo_;
+  int memo_bits_ = 8;
+  std::size_t memo_count_ = 0;
+  std::uint64_t pairs_[kPairIds] = {};
+  std::vector<SeenSlot> seen_;
+  int seen_bits_ = 6;
+  std::size_t seen_count_ = 0;
+};
+
 namespace {
 
+/// Lends the calling thread its scratch for one call. A re-entrant call
+/// (successors() from inside an emit callback) gets a private one.
+class ScratchLease {
+ public:
+  ScratchLease() {
+    thread_local std::unique_ptr<SuccessorScratch> tl_scratch;
+    if (!tl_scratch) tl_scratch = std::make_unique<SuccessorScratch>();
+    if (tl_scratch->busy) {
+      own_ = std::make_unique<SuccessorScratch>();
+      scratch_ = own_.get();
+    } else {
+      scratch_ = tl_scratch.get();
+    }
+    scratch_->busy = true;
+    scratch_->begin_call();
+  }
+  ~ScratchLease() { scratch_->busy = false; }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+
+  [[nodiscard]] SuccessorScratch& get() const { return *scratch_; }
+
+ private:
+  std::unique_ptr<SuccessorScratch> own_;
+  SuccessorScratch* scratch_ = nullptr;
+};
+
+/// Injective 6-bit code of a frame (kind, ok, time < 8): the memo key of a
+/// channel's faulty-node frame and of an interlink input.
+int frame_code(const Frame& f) noexcept {
+  TT_ASSERT(f.time < 8);
+  return static_cast<int>(f.kind) | (f.ok ? 4 : 0) | (f.time << 3);
+}
+
+/// Memo key of one hub result: channel, the faulty node's frame on it,
+/// relay option (< 16), interlink input, state option.
+std::uint32_t result_key(int h, int frame, int relay, const Frame& interlink, int state) {
+  TT_ASSERT(relay < 16 && state < 2);
+  return static_cast<std::uint32_t>(
+      ((((h * 64 + frame) * 16 + relay) * 64 + frame_code(interlink)) << 1) | state);
+}
+
 /// Sink for the generic (unpacked) consumers: materializes a full
-/// ClusterState per emission — the pre-optimization behaviour, kept for the
-/// trace printer and interactive examples.
+/// ClusterState per distinct successor, for the trace printer and the
+/// interactive examples.
 struct UnpackSink {
-  const ClusterConfig& cfg;
+  const Cluster& cl;
   Cluster::EmitUnpacked emit;
+  SuccessorScratch& sc;
   const NodeVars* nodes = nullptr;
 
   void combo(const NodeVars* next_nodes) { nodes = next_nodes; }
@@ -220,12 +446,12 @@ struct UnpackSink {
   void successor(const HubVars& h0, const HubVars& h1, std::uint8_t startup_time,
                  std::uint8_t restarts_used) {
     ClusterState t;
-    for (int i = 0; i < cfg.n; ++i) t.node[i] = nodes[i];
+    for (int i = 0; i < cl.config().n; ++i) t.node[i] = nodes[i];
     t.hub[0] = h0;
     t.hub[1] = h1;
     t.startup_time = startup_time;
     t.restarts_used = restarts_used;
-    emit(t);
+    if (sc.first_occurrence(cl.pack(t))) emit(t);
   }
 };
 
@@ -233,14 +459,12 @@ struct UnpackSink {
 
 void Cluster::successors(const State& s, Emit emit) const {
   // Prefix-sharing packer: the node fields occupy a fixed prefix of the bit
-  // layout, and one node-choice combination is shared by every hub-phase
-  // variant (at fault degree 6 the faulty node alone contributes ~(2n+3)^2
-  // combinations, each usually with a single hub variant — but the prefix
-  // serialization still amortizes the 4n per-node puts down to one memcpy of
-  // kWords words per emission).
+  // layout, serialized once per combo() (a correct node's choice changed);
+  // each successor then copies kWords words and packs the hub suffix.
   struct PackSink {
     const Cluster& cl;
     Emit& emit;
+    SuccessorScratch& sc;
     const PartialOrderReducer* por = nullptr;  ///< null = no por component
     State prefix{};
     NodeVars nodes[kMaxNodes] = {};
@@ -258,6 +482,7 @@ void Cluster::successors(const State& s, Emit emit) const {
 
     void successor(const HubVars& h0, const HubVars& h1, std::uint8_t startup_time,
                    std::uint8_t restarts_used) {
+      State t = prefix;
       if (por != nullptr) {
         int cap = 0;
         const auto o = por->decide(plan, h0, h1, restarts_used, cap);
@@ -270,17 +495,13 @@ void Cluster::successors(const State& s, Emit emit) const {
             NodeVars clamped[kMaxNodes];
             for (int i = 0; i < cl.cfg_.n; ++i) clamped[i] = nodes[i];
             por->clamp(plan, cap, clamped);
-            State t{};
+            t = State{};
             cl.pack_node_prefix(t, clamped);
-            cl.pack_hub_suffix(t, h0, h1, startup_time, restarts_used);
-            emit(t);
-            return;
           }
         }
       }
-      State s = prefix;
-      cl.pack_hub_suffix(s, h0, h1, startup_time, restarts_used);
-      emit(s);
+      cl.pack_hub_suffix(t, h0, h1, startup_time, restarts_used);
+      if (sc.first_occurrence(t)) emit(t);
     }
   };
 
@@ -295,6 +516,7 @@ void Cluster::successors(const State& s, Emit emit) const {
     const Cluster& cl;
     const Canonicalizer& canon;
     Emit& emit;
+    SuccessorScratch& sc;
     const PartialOrderReducer* por = nullptr;  ///< null = no por component
     State prefix{};
     NodeVars canon_nodes[kMaxNodes] = {};
@@ -361,29 +583,31 @@ void Cluster::successors(const State& s, Emit emit) const {
         cl.pack_hub_suffix(sw, sa, sb, startup_time, restarts_used);
         if (sw < norm) {
           ++swaps;
-          emit(sw);
-          return;
+          norm = sw;
         }
       }
-      emit(norm);
+      if (sc.first_occurrence(norm)) emit(norm);
     }
   };
 
+  const ScratchLease lease;
+  SuccessorScratch& sc = lease.get();
   const ClusterState c = unpack(s);
   const PartialOrderReducer reducer(cfg_);
   const PartialOrderReducer* por = reduction_has_por(reduction_) ? &reducer : nullptr;
   if (!reduction_has_symmetry(reduction_)) {
-    PackSink sink{*this, emit, por};
-    step_all(c, sink);
+    PackSink sink{*this, emit, sc, por};
+    step_all(c, sink, sc);
     if (por != nullptr) flush_por_stats(sink.stats);
-    return;
+  } else {
+    const Canonicalizer canon(cfg_);
+    CanonPackSink sink{*this, canon, emit, sc, por};
+    step_all(c, sink, sc);
+    canon_ops_.fetch_add(sink.ops, std::memory_order_relaxed);
+    canon_swaps_.fetch_add(sink.swaps, std::memory_order_relaxed);
+    if (por != nullptr) flush_por_stats(sink.stats);
   }
-  const Canonicalizer canon(cfg_);
-  CanonPackSink sink{*this, canon, emit, por};
-  step_all(c, sink);
-  canon_ops_.fetch_add(sink.ops, std::memory_order_relaxed);
-  canon_swaps_.fetch_add(sink.swaps, std::memory_order_relaxed);
-  if (por != nullptr) flush_por_stats(sink.stats);
+  emitted_.fetch_add(sc.emitted, std::memory_order_relaxed);
 }
 
 void Cluster::flush_por_stats(const PorStats& stats) const {
@@ -446,8 +670,9 @@ Cluster::State Cluster::reduce(const State& s) const {
 }
 
 void Cluster::step_unpacked(const ClusterState& c, EmitUnpacked emit) const {
-  UnpackSink sink{cfg_, emit};
-  step_all(c, sink);
+  const ScratchLease lease;
+  UnpackSink sink{*this, emit, lease.get()};
+  step_all(c, sink, lease.get());
 }
 
 Cluster::StartupPre Cluster::startup_pre(const NodeVars* nodes) const {
@@ -491,20 +716,22 @@ std::uint8_t Cluster::next_startup_time(const ClusterState& next, std::uint8_t p
 }
 
 template <class Sink>
-void Cluster::step_all(const ClusterState& c, Sink& sink) const {
-  step_core(c, -1, sink);
+void Cluster::step_all(const ClusterState& c, Sink& sink, SuccessorScratch& scratch) const {
+  step_core(c, -1, sink, scratch);
   // The restart dimension (paper §2.1): while budget remains, any one
   // correct node may be reset to INIT by a transient fault this step.
   if (cfg_.transient_restarts > 0 && c.restarts_used < cfg_.transient_restarts) {
     for (int r = 0; r < cfg_.n; ++r) {
-      if (!cfg_.node_is_faulty(r)) step_core(c, r, sink);
+      if (!cfg_.node_is_faulty(r)) step_core(c, r, sink, scratch);
     }
   }
 }
 
 template <class Sink>
-void Cluster::step_core(const ClusterState& c, int restart_node, Sink& sink) const {
+void Cluster::step_core(const ClusterState& c, int restart_node, Sink& sink,
+                        SuccessorScratch& scratch) const {
   const int n = cfg_.n;
+  const int fn = cfg_.faulty_node;  // kNone when every node is correct
 
   // Frames delivered to each node in the previous slot.
   Frame node_in[kMaxNodes][kNumChannels];
@@ -516,9 +743,9 @@ void Cluster::step_core(const ClusterState& c, int restart_node, Sink& sink) con
 
   // Lock status fed back to the faulty node (guardian -> node "feedback").
   std::uint8_t fn_locks = 0;
-  if (cfg_.faulty_node != ClusterConfig::kNone) {
+  if (fn != ClusterConfig::kNone) {
     for (int h = 0; h < kNumChannels; ++h) {
-      if (!cfg_.hub_is_faulty(h) && ((c.hub[h].locks >> cfg_.faulty_node) & 1u)) {
+      if (!cfg_.hub_is_faulty(h) && ((c.hub[h].locks >> fn) & 1u)) {
         fn_locks = static_cast<std::uint8_t>(fn_locks | (1u << h));
       }
     }
@@ -532,14 +759,14 @@ void Cluster::step_core(const ClusterState& c, int restart_node, Sink& sink) con
   NodeVars copt_vars[kMaxNodes][2];
   Frame copt_out[kMaxNodes][2];
   const NodeVars faulty_next =
-      cfg_.faulty_node != ClusterConfig::kNone ? faulty_node_vars(cfg_, fn_locks) : NodeVars{};
+      fn != ClusterConfig::kNone ? faulty_node_vars(cfg_, fn_locks) : NodeVars{};
   for (int i = 0; i < n; ++i) {
     if (i == restart_node) {
       // Transient fault: the node powers up afresh and transmits nothing.
       nopt[i] = 1;
       copt_vars[i][0] = NodeVars{};
       copt_out[i][0] = Frame::quiet();
-    } else if (cfg_.node_is_faulty(i)) {
+    } else if (i == fn) {
       nopt[i] = static_cast<int>(fpairs.size());
     } else {
       nopt[i] = node_option_count(cfg_, c.node[i]);
@@ -553,8 +780,8 @@ void Cluster::step_core(const ClusterState& c, int restart_node, Sink& sink) con
   }
 
   // State-phase option counts for the hubs (INIT wake-up nondeterminism).
-  const int sopt0 = hub_state_option_count(cfg_, 0, c.hub[0]);
-  const int sopt1 = hub_state_option_count(cfg_, 1, c.hub[1]);
+  const int sopt[kNumChannels] = {hub_state_option_count(cfg_, 0, c.hub[0]),
+                                  hub_state_option_count(cfg_, 1, c.hub[1])};
 
   const auto restarts_used =
       static_cast<std::uint8_t>(c.restarts_used + (restart_node >= 0 ? 1 : 0));
@@ -566,7 +793,7 @@ void Cluster::step_core(const ClusterState& c, int restart_node, Sink& sink) con
   // recomputed — the fastest digit (the faulty node when it is node 0, with
   // its ~(2n+3)^2 output pairs) is usually the only one that moves.
   auto refresh = [&](int i) {
-    if (cfg_.node_is_faulty(i)) {
+    if (i == fn) {
       const auto& pr = fpairs[static_cast<std::size_t>(choice[i])];
       outs[0][i] = pr.first;
       outs[1][i] = pr.second;
@@ -578,59 +805,106 @@ void Cluster::step_core(const ClusterState& c, int restart_node, Sink& sink) con
   };
   for (int i = 0; i < n; ++i) refresh(i);
 
-  while (true) {
-    sink.combo(next_node);
-    const StartupPre pre = startup_pre(next_node);
+  // --- Hub phase, memoised per epoch (DESIGN.md §3.2). Within an epoch the
+  // only varying input of channel h is the faulty node's frame on h, so the
+  // relay options and decisions are keyed on that frame alone, and a hub's
+  // next value on (frame, relay option, the other channel's interlink
+  // output, state option). Correct-hub relay decisions are pure functions
+  // of the node outputs; a faulty hub may additionally replay the correct
+  // hub's same-step interlink output, so its relay is evaluated inside its
+  // result memo, after the correct hub's decision.
+  using Relay = SuccessorScratch::Relay;
+  using Result = SuccessorScratch::Result;
+  auto relay_of = [&](int h, int frame) -> const Relay& {
+    return scratch.relay(h, frame, [&](Relay& e) {
+      e.options = hub_relay_option_count(cfg_, h, c.hub[h], outs[h]);
+      if (cfg_.hub_is_faulty(h)) return;
+      TT_ASSERT(e.options <= kMaxNodes);
+      for (int r = 0; r < e.options; ++r) {
+        e.decision[r] = hub_relay(cfg_, h, c.hub[h], outs[h], r);
+      }
+    });
+  };
+  auto correct_hub = [&](int h, int frame, const Relay& e, int r, const Frame& il, int s) {
+    return scratch
+        .result(result_key(h, frame, r, il, s),
+                [&] {
+                  return Result{
+                      scratch.intern(h, hub_state_step(cfg_, h, c.hub[h], e.decision[r], il, s)),
+                      Frame::quiet()};
+                })
+        .id;
+  };
+  auto faulty_hub = [&](int h, int frame, int r, const Frame& il) {
+    return scratch.result(result_key(h, frame, r, il, 0), [&] {
+      const RelayDecision d = faulty_hub_relay(cfg_, c.hub[h], outs[h], il, r);
+      return Result{scratch.intern(h, faulty_hub_state_step(cfg_, c.hub[h], d)), d.interlink};
+    });
+  };
 
-    // --- Hub phase. Relay decisions of correct hubs are pure functions of
-    // node outputs; a faulty hub may additionally replay the correct hub's
-    // same-step interlink output, so correct hubs are computed first.
-    const int ropt0 = hub_relay_option_count(cfg_, 0, c.hub[0], outs[0]);
-    const int ropt1 = hub_relay_option_count(cfg_, 1, c.hub[1], outs[1]);
-    for (int r0 = 0; r0 < ropt0; ++r0) {
-      for (int r1 = 0; r1 < ropt1; ++r1) {
-        RelayDecision d0;
-        RelayDecision d1;
+  bool new_epoch = true;
+  StartupPre pre;
+  std::uint16_t ids[kNumChannels][2] = {};
+  while (true) {
+    if (new_epoch) {
+      scratch.begin_epoch();
+      sink.combo(next_node);
+      pre = startup_pre(next_node);
+    }
+    const int frame[kNumChannels] = {fn != ClusterConfig::kNone ? frame_code(outs[0][fn]) : 0,
+                                     fn != ClusterConfig::kNone ? frame_code(outs[1][fn]) : 0};
+    const Relay& e0 = relay_of(0, frame[0]);
+    const Relay& e1 = relay_of(1, frame[1]);
+    scratch.emitted += static_cast<std::uint64_t>(e0.options) *
+                       static_cast<std::uint64_t>(e1.options) *
+                       static_cast<std::uint64_t>(sopt[0] * sopt[1]);
+    for (int r0 = 0; r0 < e0.options; ++r0) {
+      for (int r1 = 0; r1 < e1.options; ++r1) {
         if (cfg_.hub_is_faulty(0)) {
-          d1 = hub_relay(cfg_, 1, c.hub[1], outs[1], r1);
-          d0 = faulty_hub_relay(cfg_, c.hub[0], outs[0], d1.interlink, r0);
+          const Result f = faulty_hub(0, frame[0], r0, e1.decision[r1].interlink);
+          ids[0][0] = f.id;
+          for (int s1 = 0; s1 < sopt[1]; ++s1) {
+            ids[1][s1] = correct_hub(1, frame[1], e1, r1, f.interlink, s1);
+          }
         } else if (cfg_.hub_is_faulty(1)) {
-          d0 = hub_relay(cfg_, 0, c.hub[0], outs[0], r0);
-          d1 = faulty_hub_relay(cfg_, c.hub[1], outs[1], d0.interlink, r1);
+          const Result f = faulty_hub(1, frame[1], r1, e0.decision[r0].interlink);
+          ids[1][0] = f.id;
+          for (int s0 = 0; s0 < sopt[0]; ++s0) {
+            ids[0][s0] = correct_hub(0, frame[0], e0, r0, f.interlink, s0);
+          }
         } else {
-          d0 = hub_relay(cfg_, 0, c.hub[0], outs[0], r0);
-          d1 = hub_relay(cfg_, 1, c.hub[1], outs[1], r1);
+          for (int s0 = 0; s0 < sopt[0]; ++s0) {
+            ids[0][s0] = correct_hub(0, frame[0], e0, r0, e1.decision[r1].interlink, s0);
+          }
+          for (int s1 = 0; s1 < sopt[1]; ++s1) {
+            ids[1][s1] = correct_hub(1, frame[1], e1, r1, e0.decision[r0].interlink, s1);
+          }
         }
-        // Hub 0's state step depends on s0 only and hub 1's on s1 only, so
-        // each variant is computed once, not once per (s0, s1) pair.
-        HubVars h0v[2];
-        HubVars h1v[2];
-        for (int s0 = 0; s0 < sopt0; ++s0) {
-          h0v[s0] = cfg_.hub_is_faulty(0)
-                        ? faulty_hub_state_step(cfg_, c.hub[0], d0)
-                        : hub_state_step(cfg_, 0, c.hub[0], d0, d1.interlink, s0);
-        }
-        for (int s1 = 0; s1 < sopt1; ++s1) {
-          h1v[s1] = cfg_.hub_is_faulty(1)
-                        ? faulty_hub_state_step(cfg_, c.hub[1], d1)
-                        : hub_state_step(cfg_, 1, c.hub[1], d1, d0.interlink, s1);
-        }
-        for (int s0 = 0; s0 < sopt0; ++s0) {
-          for (int s1 = 0; s1 < sopt1; ++s1) {
-            const std::uint8_t st = startup_from(pre, h0v[s0], h1v[s1], c.startup_time);
-            sink.successor(h0v[s0], h1v[s1], st, restarts_used);
+        // A pair already passed on this epoch would pack to the same
+        // successor (same prefix, same hubs, same startup time): skip it.
+        for (int s0 = 0; s0 < sopt[0]; ++s0) {
+          for (int s1 = 0; s1 < sopt[1]; ++s1) {
+            if (!scratch.first_pair(ids[0][s0], ids[1][s1])) continue;
+            const HubVars& h0 = scratch.value(0, ids[0][s0]);
+            const HubVars& h1 = scratch.value(1, ids[1][s1]);
+            sink.successor(h0, h1, startup_from(pre, h0, h1, c.startup_time), restarts_used);
           }
         }
       }
     }
 
+    // Advance the odometer; a new epoch starts when a correct node's digit
+    // changed (the faulty node's next vars are the same for every choice).
     int k = 0;
+    new_epoch = false;
     while (k < n) {
       if (++choice[k] < nopt[k]) break;
+      if (k != fn && nopt[k] > 1) new_epoch = true;
       choice[k] = 0;
       ++k;
     }
     if (k == n) break;
+    if (k != fn) new_epoch = true;
     for (int i = k; i >= 0; --i) refresh(i);
   }
 }

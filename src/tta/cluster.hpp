@@ -21,6 +21,7 @@ namespace tt::tta {
 
 class Canonicalizer;
 struct PorStats;
+class SuccessorScratch;
 
 /// Fully unpacked cluster state (for model code, properties, and printing).
 struct ClusterState {
@@ -52,12 +53,15 @@ class Cluster {
   /// reproducing the SAL model's uninitialized LOCAL arrays, §3.2.2).
   void initial_states(Emit emit) const;
 
-  /// Enumerates all successors of `s` (DESIGN.md §4 defines the two-phase
-  /// step semantics and every nondeterminism source).
+  /// Enumerates the distinct successors of `s` (DESIGN.md §4 defines the
+  /// two-phase step semantics and every nondeterminism source), each exactly
+  /// once, in the order of its first occurrence in the labelled enumeration
+  /// of every choice combination (DESIGN.md §3.2). Reduced clusters emit the
+  /// distinct reduced images.
   void successors(const State& s, Emit emit) const;
 
   /// Same enumeration over unpacked states (used by the trace printer and
-  /// the interactive examples).
+  /// the interactive examples); emits the unreduced successors of `c`.
   void step_unpacked(const ClusterState& c, EmitUnpacked emit) const;
 
   [[nodiscard]] State pack(const ClusterState& c) const;
@@ -87,6 +91,14 @@ class Cluster {
   /// cluster emits is a fixed point of `reduce` — concretization and the
   /// equivalence tests rely on this.
   [[nodiscard]] State reduce(const State& s) const;
+
+  /// Labelled successors enumerated by successors() calls: one per choice
+  /// combination (node options x relay options x state options), i.e. the
+  /// count of emissions before duplicate suppression. Relaxed counter,
+  /// exact once a run has joined its workers.
+  [[nodiscard]] std::uint64_t emitted() const noexcept {
+    return emitted_.load(std::memory_order_relaxed);
+  }
 
   /// Canonicalization instrumentation: states canonicalized on the emission
   /// path, and how many of them picked the channel-swapped image. Relaxed
@@ -125,18 +137,20 @@ class Cluster {
                                           const HubVars& h1, std::uint8_t prev) const;
 
   /// The step kernel, generic over how successors leave it. `Sink` sees
-  /// `combo(next_nodes)` whenever the node-choice combination changes, then
-  /// `emit(h0, h1, startup_time, restarts_used)` once per successor of that
-  /// combination — so a packing sink can serialize the node prefix once per
-  /// combination instead of once per successor (the hot-path win: at fault
-  /// degree 6 one combination is shared by all hub-phase variants).
+  /// `combo(next_nodes)` whenever a correct node's choice changes (the node
+  /// prefix of every successor until the next call), then
+  /// `successor(h0, h1, startup_time, restarts_used)` once per hub pair not
+  /// yet passed on under that prefix. The hub phase is memoised per channel
+  /// in `scratch` (DESIGN.md §3.2), so the faulty node's (2n+3)^2 output
+  /// pairs cost 2(2n+3) relay evaluations, not (2n+3)^2.
   template <class Sink>
-  void step_core(const ClusterState& c, int restart_node, Sink& sink) const;
+  void step_core(const ClusterState& c, int restart_node, Sink& sink,
+                 SuccessorScratch& scratch) const;
 
   /// Runs step_core for the fault-free step plus every transient-restart
   /// variant (paper §2.1 restart dimension).
   template <class Sink>
-  void step_all(const ClusterState& c, Sink& sink) const;
+  void step_all(const ClusterState& c, Sink& sink, SuccessorScratch& scratch) const;
 
   /// Word-wise minimum of a canonical state and its channel-swapped image
   /// (the C3 orbit representative); shared by canonicalize and reduce.
@@ -162,6 +176,7 @@ class Cluster {
   ClusterConfig cfg_;
   Reduction reduction_ = Reduction::kNone;
   FaultyNodeOutputs faulty_outputs_;
+  mutable std::atomic<std::uint64_t> emitted_{0};
   mutable std::atomic<std::uint64_t> canon_ops_{0};
   mutable std::atomic<std::uint64_t> canon_swaps_{0};
   mutable std::atomic<std::uint64_t> por_ample_{0};

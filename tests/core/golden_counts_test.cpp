@@ -1,11 +1,14 @@
 // Golden-count regression net for the successor pipeline: the exact
-// reachable-state and transition counts of small fig4/fig5/fig6 bench
-// configurations, pinned for the sequential engine, the parallel engine at
-// 1, 2 and 4 threads, and the symbolic (BDD-set) engine, whose count comes
-// from exact model counting instead of a table size. Any change to
-// successor enumeration order, fault enumeration, packing, interning,
-// duplicate suppression or BDD counting that alters the explored graph —
-// rather than merely its cost — trips these exact numbers.
+// reachable-state, distinct-transition and labelled-emission counts of small
+// fig4/fig5/fig6 bench configurations, pinned for the sequential engine, the
+// parallel engine at 1, 2 and 4 threads, and the symbolic (BDD-set) engine,
+// whose count comes from exact model counting instead of a table size. Any
+// change to successor enumeration order, fault enumeration, packing,
+// interning, duplicate suppression or BDD counting that alters the explored
+// graph — rather than merely its cost — trips these exact numbers. The
+// emitted count is the size of the labelled choice product the kernel
+// enumerates (what `transitions` counted before the kernel emitted each
+// distinct successor once, DESIGN.md §3.2).
 //
 // The same runs assert the hash-once contract end to end on the real model:
 // stats.hash_ops == transitions + initial-state emissions, i.e. hash_words
@@ -14,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
 #include "core/verifier.hpp"
 #include "mc/reachability.hpp"
@@ -29,8 +33,28 @@ struct GoldenCell {
   int n;
   int degree;
   std::size_t states;
-  std::size_t transitions;
+  std::size_t transitions;  ///< distinct edges
 };
+
+// Labelled successors (choice combinations) per grid cell. Kept beside
+// GoldenCell rather than in it: gtest names each parameterised case after
+// the cell's byte image, so the cell layout stays fixed.
+std::size_t golden_emitted(std::string_view name) {
+  static constexpr struct {
+    std::string_view name;
+    std::size_t emitted;
+  } kEmitted[] = {
+      {"fig6_safety_n3", 45899},       {"fig6_safety_n4", 482344},
+      {"fig4_safety_deg1", 22677},     {"fig4_safety_deg3", 1238320},
+      {"fig4_liveness_deg1", 22673},   {"fig4_liveness_deg3", 1232486},
+      {"fig4_timeliness_deg1", 22787}, {"fig4_timeliness_deg3", 1262793},
+  };
+  for (const auto& e : kEmitted) {
+    if (e.name == name) return e.emitted;
+  }
+  ADD_FAILURE() << "no emitted count pinned for " << name;
+  return 0;
+}
 
 tta::ClusterConfig fig6_config(int n) {
   tta::ClusterConfig cfg;
@@ -78,6 +102,7 @@ TEST_P(GoldenCounts, ExactAcrossEnginesAndThreadCounts) {
   ASSERT_TRUE(seq.holds) << cell.name << ": " << seq.verdict_text;
   EXPECT_EQ(seq.stats.states, cell.states) << cell.name;
   EXPECT_EQ(seq.stats.transitions, cell.transitions) << cell.name;
+  EXPECT_EQ(seq.stats.emitted, golden_emitted(cell.name)) << cell.name;
 
   if (cell.lemma == Lemma::kLiveness) {
     // F(goal) liveness: the sequential DFS, the parallel OWCTY engine and
@@ -97,6 +122,7 @@ TEST_P(GoldenCounts, ExactAcrossEnginesAndThreadCounts) {
       EXPECT_EQ(par.engine_used, mc::EngineKind::kParallel) << label;
       EXPECT_EQ(par.stats.states, cell.states) << label;
       EXPECT_EQ(par.stats.transitions, cell.transitions) << label;
+      EXPECT_EQ(par.stats.emitted, golden_emitted(cell.name)) << label;
       EXPECT_EQ(par.stats.hash_ops, seq.stats.hash_ops) << label;
       EXPECT_EQ(par.stats.residue_states, std::size_t{0}) << label;
     }
@@ -108,6 +134,7 @@ TEST_P(GoldenCounts, ExactAcrossEnginesAndThreadCounts) {
     EXPECT_EQ(sym.engine_used, mc::EngineKind::kSymbolic) << label;
     EXPECT_EQ(sym.stats.states, cell.states) << label;
     EXPECT_EQ(sym.stats.transitions, cell.transitions) << label;
+    EXPECT_EQ(sym.stats.emitted, golden_emitted(cell.name)) << label;
     EXPECT_EQ(sym.stats.hash_ops, std::size_t{0}) << label;
     return;
   }
@@ -122,6 +149,7 @@ TEST_P(GoldenCounts, ExactAcrossEnginesAndThreadCounts) {
     ASSERT_TRUE(par.holds) << label << ": " << par.verdict_text;
     EXPECT_EQ(par.stats.states, cell.states) << label;
     EXPECT_EQ(par.stats.transitions, cell.transitions) << label;
+    EXPECT_EQ(par.stats.emitted, golden_emitted(cell.name)) << label;
     expect_hash_once(par, label);
   }
 
@@ -136,6 +164,7 @@ TEST_P(GoldenCounts, ExactAcrossEnginesAndThreadCounts) {
   EXPECT_EQ(sym.engine_used, mc::EngineKind::kSymbolic) << label;
   EXPECT_EQ(sym.stats.states, cell.states) << label;
   EXPECT_EQ(sym.stats.transitions, cell.transitions) << label;
+  EXPECT_EQ(sym.stats.emitted, golden_emitted(cell.name)) << label;
   EXPECT_EQ(sym.stats.hash_ops, std::size_t{0}) << label;
   EXPECT_GT(sym.stats.bdd_peak_live_nodes, std::size_t{0}) << label;
 }
@@ -156,6 +185,7 @@ TEST_P(GoldenCounts, LockFreeStoreReproducesGoldenCountsExactly) {
   ASSERT_TRUE(seq.holds) << cell.name << ": " << seq.verdict_text;
   EXPECT_EQ(seq.stats.states, cell.states) << cell.name;
   EXPECT_EQ(seq.stats.transitions, cell.transitions) << cell.name;
+  EXPECT_EQ(seq.stats.emitted, golden_emitted(cell.name)) << cell.name;
   if (cell.lemma != Lemma::kLiveness) {
     expect_hash_once(seq, std::string(cell.name) + "/lockfree_seq");
   }
@@ -171,6 +201,7 @@ TEST_P(GoldenCounts, LockFreeStoreReproducesGoldenCountsExactly) {
     ASSERT_TRUE(par.holds) << label << ": " << par.verdict_text;
     EXPECT_EQ(par.stats.states, cell.states) << label;
     EXPECT_EQ(par.stats.transitions, cell.transitions) << label;
+    EXPECT_EQ(par.stats.emitted, golden_emitted(cell.name)) << label;
     EXPECT_EQ(par.stats.hash_ops, seq.stats.hash_ops) << label;
   }
 }
@@ -205,14 +236,14 @@ TEST_P(GoldenCounts, ProofEngineProvesInvariantCellsUnbounded) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, GoldenCounts,
     ::testing::Values(
-        GoldenCell{"fig6_safety_n3", Lemma::kSafety, 3, 6, 1276, 45899},
-        GoldenCell{"fig6_safety_n4", Lemma::kSafety, 4, 6, 6592, 482344},
+        GoldenCell{"fig6_safety_n3", Lemma::kSafety, 3, 6, 1276, 3401},
+        GoldenCell{"fig6_safety_n4", Lemma::kSafety, 4, 6, 6592, 16973},
         GoldenCell{"fig4_safety_deg1", Lemma::kSafety, 4, 1, 18404, 22677},
-        GoldenCell{"fig4_safety_deg3", Lemma::kSafety, 4, 3, 46944, 1238320},
+        GoldenCell{"fig4_safety_deg3", Lemma::kSafety, 4, 3, 46944, 120881},
         GoldenCell{"fig4_liveness_deg1", Lemma::kLiveness, 4, 1, 18400, 22673},
-        GoldenCell{"fig4_liveness_deg3", Lemma::kLiveness, 4, 3, 46350, 1232486},
+        GoldenCell{"fig4_liveness_deg3", Lemma::kLiveness, 4, 3, 46350, 119465},
         GoldenCell{"fig4_timeliness_deg1", Lemma::kTimeliness, 4, 1, 18514, 22787},
-        GoldenCell{"fig4_timeliness_deg3", Lemma::kTimeliness, 4, 3, 49467, 1262793}),
+        GoldenCell{"fig4_timeliness_deg3", Lemma::kTimeliness, 4, 3, 49467, 126607}),
     [](const ::testing::TestParamInfo<GoldenCell>& info) {
       return std::string(info.param.name);
     });
@@ -224,7 +255,8 @@ TEST(GoldenCounts, Fig5FaultFreeReachableCounts) {
     int n;
     std::size_t states;
     std::size_t transitions;
-  } cells[] = {{3, 160, 186}, {4, 368, 421}};
+    std::size_t emitted;
+  } cells[] = {{3, 160, 186, 186}, {4, 368, 421, 421}};
   for (const auto& cell : cells) {
     tta::ClusterConfig cfg;
     cfg.n = cell.n;
@@ -235,6 +267,7 @@ TEST(GoldenCounts, Fig5FaultFreeReachableCounts) {
     EXPECT_TRUE(stats.exhausted) << "n=" << cell.n;
     EXPECT_EQ(stats.states, cell.states) << "n=" << cell.n;
     EXPECT_EQ(stats.transitions, cell.transitions) << "n=" << cell.n;
+    EXPECT_EQ(cluster.emitted(), cell.emitted) << "n=" << cell.n;
 
     const auto sym = mc::count_reachable_symbolic(cluster);
     EXPECT_TRUE(sym.exhausted) << "n=" << cell.n << "/sym";

@@ -133,6 +133,7 @@ TEST_P(ReductionEngineEquivalence, QuotientPreservesVerdictsAcrossAllEngines) {
     // partial counts depend on search order and are not comparable.)
     EXPECT_LE(red_seq.stats.states, raw.stats.states);
     EXPECT_LE(red_seq.stats.transitions, raw.stats.transitions);
+    EXPECT_LE(red_seq.stats.emitted, raw.stats.emitted);
   }
   if (cell.reduction != mc::ReductionKind::kPartialOrder) {
     EXPECT_GT(red_seq.stats.canon_ops, std::size_t{0});
@@ -140,11 +141,15 @@ TEST_P(ReductionEngineEquivalence, QuotientPreservesVerdictsAcrossAllEngines) {
     EXPECT_EQ(red_seq.stats.canon_ops, std::size_t{0});  // no symmetry component
   }
   if (cell.reduction != mc::ReductionKind::kSymmetry && cell.lemma != Lemma::kReintegration) {
-    // Every enumerated transition met the por gate exactly once. (The AG AF
-    // engine sweeps the graph twice — reachable set, then lasso search — so
-    // its cluster-level counters cover both sweeps and are excluded.)
-    EXPECT_EQ(red_seq.stats.ample_sets + red_seq.stats.proviso_fallbacks,
-              red_seq.stats.transitions);
+    // Every candidate that reached the packing sink met the por gate exactly
+    // once; the sink sits between the hub-pair skip and the first-occurrence
+    // filter, so that count lies between the distinct edges and the
+    // labelled emissions. (The AG AF engine sweeps the graph twice —
+    // reachable set, then lasso search — so its cluster-level counters
+    // cover both sweeps and are excluded.)
+    const std::size_t gated = red_seq.stats.ample_sets + red_seq.stats.proviso_fallbacks;
+    EXPECT_LE(red_seq.stats.transitions, gated);
+    EXPECT_LE(gated, red_seq.stats.emitted);
   }
 
   for (int threads : {1, 2, 4}) {
@@ -264,37 +269,39 @@ INSTANTIATE_TEST_SUITE_P(Grid, ReductionEngineEquivalence, ::testing::ValuesIn(g
 
 TEST(ReductionGoldenQuotients, Fig6AndFig4QuotientCountsAreExact) {
   // The reduced companion of golden_counts_test.cpp's grid: exact quotient
-  // state/transition counts, pinned. The reduction_ratio table in
-  // EXPERIMENTS.md derives from these numbers.
+  // state, distinct-transition and labelled-emission counts, pinned. The
+  // reduction_ratio table in EXPERIMENTS.md derives from these numbers.
   struct Cell {
     const char* name;
     Lemma lemma;
     int n;
     int degree;
     std::size_t states;
-    std::size_t transitions;
+    std::size_t transitions;  ///< distinct edges
+    std::size_t emitted;      ///< labelled successors (choice combinations)
     mc::ReductionKind reduction = mc::ReductionKind::kSymmetry;
   };
   const auto kSymPor = mc::ReductionKind::kSymPor;
   const Cell cells[] = {
-      {"fig6_safety_n3", Lemma::kSafety, 3, 6, 534, 6289},
-      {"fig6_safety_n4", Lemma::kSafety, 4, 6, 3706, 52449},
-      {"fig4_safety_deg1", Lemma::kSafety, 4, 1, 18190, 22463},
-      {"fig4_safety_deg3", Lemma::kSafety, 4, 3, 31326, 469042},
-      {"fig4_liveness_deg1", Lemma::kLiveness, 4, 1, 18186, 22459},
-      {"fig4_liveness_deg3", Lemma::kLiveness, 4, 3, 31168, 467918},
-      {"fig4_timeliness_deg1", Lemma::kTimeliness, 4, 1, 18300, 22573},
-      {"fig4_timeliness_deg3", Lemma::kTimeliness, 4, 3, 32218, 474323},
+      {"fig6_safety_n3", Lemma::kSafety, 3, 6, 534, 1242, 6289},
+      {"fig6_safety_n4", Lemma::kSafety, 4, 6, 3706, 8055, 52449},
+      {"fig4_safety_deg1", Lemma::kSafety, 4, 1, 18190, 22439, 22463},
+      {"fig4_safety_deg3", Lemma::kSafety, 4, 3, 31326, 70262, 469042},
+      {"fig4_liveness_deg1", Lemma::kLiveness, 4, 1, 18186, 22435, 22459},
+      {"fig4_liveness_deg3", Lemma::kLiveness, 4, 3, 31168, 69895, 467918},
+      {"fig4_timeliness_deg1", Lemma::kTimeliness, 4, 1, 18300, 22549, 22573},
+      {"fig4_timeliness_deg3", Lemma::kTimeliness, 4, 3, 32218, 72079, 474323},
       // The sym+por quotients of the same cells (the clamp rides on top of
       // the orbit reduction; DESIGN.md §3.8 derives the expected shrink).
-      {"fig6_safety_n3_sympor", Lemma::kSafety, 3, 6, 531, 6277, kSymPor},
-      {"fig6_safety_n4_sympor", Lemma::kSafety, 4, 6, 2847, 41949, kSymPor},
-      {"fig4_safety_deg1_sympor", Lemma::kSafety, 4, 1, 11377, 15481, kSymPor},
-      {"fig4_safety_deg3_sympor", Lemma::kSafety, 4, 3, 16055, 293851, kSymPor},
-      {"fig4_liveness_deg1_sympor", Lemma::kLiveness, 4, 1, 11373, 15477, kSymPor},
-      {"fig4_liveness_deg3_sympor", Lemma::kLiveness, 4, 3, 15897, 292727, kSymPor},
-      {"fig4_timeliness_deg1_sympor", Lemma::kTimeliness, 4, 1, 12285, 16419, kSymPor},
-      {"fig4_timeliness_deg3_sympor", Lemma::kTimeliness, 4, 3, 18995, 320104, kSymPor},
+      {"fig6_safety_n3_sympor", Lemma::kSafety, 3, 6, 531, 1236, 6277, kSymPor},
+      {"fig6_safety_n4_sympor", Lemma::kSafety, 4, 6, 2847, 6297, 41949, kSymPor},
+      {"fig4_safety_deg1_sympor", Lemma::kSafety, 4, 1, 11377, 15459, 15481, kSymPor},
+      {"fig4_safety_deg3_sympor", Lemma::kSafety, 4, 3, 16055, 37007, 293851, kSymPor},
+      {"fig4_liveness_deg1_sympor", Lemma::kLiveness, 4, 1, 11373, 15455, 15477, kSymPor},
+      {"fig4_liveness_deg3_sympor", Lemma::kLiveness, 4, 3, 15897, 36640, 292727, kSymPor},
+      {"fig4_timeliness_deg1_sympor", Lemma::kTimeliness, 4, 1, 12285, 16397, 16419, kSymPor},
+      {"fig4_timeliness_deg3_sympor", Lemma::kTimeliness, 4, 3, 18995, 42932, 320104,
+       kSymPor},
   };
   for (const auto& cell : cells) {
     tta::ClusterConfig cfg;
@@ -319,19 +326,32 @@ TEST(ReductionGoldenQuotients, Fig6AndFig4QuotientCountsAreExact) {
     ASSERT_TRUE(r.holds) << cell.name << ": " << r.verdict_text;
     EXPECT_EQ(r.stats.states, cell.states) << cell.name;
     EXPECT_EQ(r.stats.transitions, cell.transitions) << cell.name;
+    EXPECT_EQ(r.stats.emitted, cell.emitted) << cell.name;
     if (cell.lemma != Lemma::kLiveness) {
-      // Hash-once carries over to the quotient: exactly one canonicalization
-      // and one hash per enumerated transition plus one per emitted initial
-      // state.
+      // Hash-once carries over to the quotient: exactly one hash per
+      // distinct edge plus one per emitted initial state, and exactly one
+      // canonicalization per candidate that reached the packing sink plus
+      // one per emitted initial state. The sink sits between the hub-pair
+      // skip and the first-occurrence filter, so its candidates number
+      // between the distinct edges and the labelled emissions.
       ASSERT_FALSE(r.stats.frontier_sizes.empty()) << cell.name;
-      EXPECT_EQ(r.stats.hash_ops, r.stats.transitions + r.stats.frontier_sizes[0]) << cell.name;
-      EXPECT_EQ(r.stats.canon_ops, r.stats.transitions + r.stats.frontier_sizes[0]) << cell.name;
+      const std::size_t initials = r.stats.frontier_sizes[0];
+      EXPECT_EQ(r.stats.hash_ops, r.stats.transitions + initials) << cell.name;
+      ASSERT_GE(r.stats.canon_ops, initials) << cell.name;
+      const std::size_t sunk = r.stats.canon_ops - initials;
+      EXPECT_LE(r.stats.transitions, sunk) << cell.name;
+      EXPECT_LE(sunk, r.stats.emitted) << cell.name;
+      if (cell.reduction == kSymPor) {
+        // Every candidate that reached the sink met the por gate exactly
+        // once.
+        EXPECT_EQ(r.stats.ample_sets + r.stats.proviso_fallbacks, sunk) << cell.name;
+      }
     }
     if (cell.reduction == kSymPor) {
-      // Every enumerated transition met the por gate exactly once, and the
-      // clamp actually pruned something on every one of these cells.
-      EXPECT_EQ(r.stats.ample_sets + r.stats.proviso_fallbacks, r.stats.transitions)
-          << cell.name;
+      const std::size_t gated = r.stats.ample_sets + r.stats.proviso_fallbacks;
+      EXPECT_LE(r.stats.transitions, gated) << cell.name;
+      EXPECT_LE(gated, r.stats.emitted) << cell.name;
+      // The clamp actually pruned something on every one of these cells.
       EXPECT_GT(r.stats.pruned_combos, std::size_t{0}) << cell.name;
     }
   }
