@@ -201,10 +201,11 @@ int main(int argc, char** argv) {
     // Machine-greppable proof line; the CI proof-smoke step asserts on the
     // solver_calls / clauses_reused columns (one incremental solver per run,
     // learned clauses carried across depth probes).
-    std::printf("proof: solver_calls=%zu clauses_reused=%zu frames=%zu "
+    std::printf("proof: solver_calls=%zu propagations=%zu clauses_reused=%zu frames=%zu "
                 "proof_obligations=%zu\n",
-                result.stats.solver_calls, result.stats.clauses_reused,
-                result.stats.frames, result.stats.proof_obligations);
+                result.stats.solver_calls, result.stats.propagations,
+                result.stats.clauses_reused, result.stats.frames,
+                result.stats.proof_obligations);
   }
   if (result.engine_used == mc::EngineKind::kSymbolic) {
     std::printf("bdd: peak_live=%zu gc_runs=%zu unique_hit=%.1f%% op_cache_hit=%.1f%%",

@@ -33,6 +33,7 @@ void Unroller::ensure_frames(int frames) {
 void Unroller::add_frame() {
   // Allocate one-hot bits for the new frame and add the one-hot axioms.
   bits_.emplace_back();
+  memo_.emplace_back();
   auto& frame = bits_.back();
   frame.resize(system_.vars().size());
   for (std::size_t v = 0; v < system_.vars().size(); ++v) {
@@ -63,8 +64,8 @@ Lit Unroller::var_bit(int t, VarId v, int val) const {
 
 Lit Unroller::bool_expr(ExprId e, int t) {
   TT_ASSERT(t < frames_);
-  const auto key = std::pair(e, t);
-  if (const auto it = bool_cache_.find(key); it != bool_cache_.end()) return it->second;
+  auto& cache = memo_[static_cast<std::size_t>(t)].bools;
+  if (const auto it = cache.find(e); it != cache.end()) return it->second;
   const ExprNode& n = system_.exprs().node(e);
   Lit out = true_lit_;
   switch (n.op) {
@@ -101,7 +102,7 @@ Lit Unroller::bool_expr(ExprId e, int t) {
     default:
       TT_REQUIRE(false, "integer expression used as boolean in BMC encoding");
   }
-  bool_cache_.emplace(key, out);
+  cache.emplace(e, out);
   return out;
 }
 
@@ -114,21 +115,10 @@ Lit Unroller::int_eq(ExprId e, int val, int t) {
       if (val < 0 || val >= dom) return ~true_lit_;
       return var_bit(t, n.var, val);
     }
-    case Op::kAddMod: {
+    case Op::kAddMod:
       if (val < 0 || val >= n.m) return ~true_lit_;
-      const int dom = expr_domain(n.a);
-      // e.a may take any value w with (w + k) mod m == val.
-      std::vector<Lit> alts;
-      for (int w = 0; w < dom; ++w) {
-        if (((w + n.k) % n.m + n.m) % n.m == val) alts.push_back(int_eq(n.a, w, t));
-      }
-      return define_or(alts);
-    }
-    case Op::kIte: {
-      const Lit c = bool_expr(n.c, t);
-      return define_or({define_and({c, int_eq(n.a, val, t)}),
-                        define_and({~c, int_eq(n.b, val, t)})});
-    }
+      break;
+    case Op::kIte: break;
     default: {
       // Boolean expression used as 0/1 integer.
       const Lit b = bool_expr(e, t);
@@ -137,6 +127,26 @@ Lit Unroller::int_eq(ExprId e, int val, int t) {
       return ~true_lit_;
     }
   }
+  auto& cache = memo_[static_cast<std::size_t>(t)].ints;
+  const std::uint64_t key = static_cast<std::uint64_t>(static_cast<std::uint32_t>(e)) << 32 |
+                            static_cast<std::uint32_t>(val);
+  if (const auto it = cache.find(key); it != cache.end()) return it->second;
+  Lit out;
+  if (n.op == Op::kAddMod) {
+    // e.a may take any value w with (w + k) mod m == val.
+    const int dom = expr_domain(n.a);
+    std::vector<Lit> alts;
+    for (int w = 0; w < dom; ++w) {
+      if (((w + n.k) % n.m + n.m) % n.m == val) alts.push_back(int_eq(n.a, w, t));
+    }
+    out = define_or(alts);
+  } else {
+    const Lit c = bool_expr(n.c, t);
+    out = define_or({define_and({c, int_eq(n.a, val, t)}),
+                     define_and({~c, int_eq(n.b, val, t)})});
+  }
+  cache.emplace(key, out);
+  return out;
 }
 
 int Unroller::expr_domain(ExprId e) const {

@@ -7,7 +7,9 @@
 // gets exactly-one selector variables per frame; a selector implies its
 // command's guard at frame t and its assignments at frame t+1; unassigned
 // variables are framed. Integer expressions are encoded through the
-// "expr == value" recursion, boolean ones through Tseitin definitions.
+// "expr == value" recursion, boolean ones through Tseitin definitions; both
+// are memoized per frame, so a subterm shared by many commands (an ite
+// chain, say) is encoded once per frame and value.
 //
 // The unrolling is *incremental* (DESIGN.md §3.10): one `Unroller` owns one
 // `sat::Solver` for the whole run, depth k+1 extends the k-frame formula
@@ -19,7 +21,8 @@
 // the paper "explores to increasing depths with a bounded model checker".
 #pragma once
 
-#include <map>
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "kernel/system.hpp"
@@ -100,7 +103,13 @@ class Unroller {
   std::vector<std::vector<std::vector<int>>> bits_;  // [frame][var][value]
   int frames_ = 0;
   sat::Lit true_lit_;
-  std::map<std::pair<kernel::ExprId, int>, sat::Lit> bool_cache_;
+  /// Tseitin memo of one frame: `bool_expr` keyed on the expression,
+  /// `int_eq` on (expression, value) packed as (expr << 32) | value.
+  struct FrameMemo {
+    std::unordered_map<kernel::ExprId, sat::Lit> bools;
+    std::unordered_map<std::uint64_t, sat::Lit> ints;
+  };
+  std::vector<FrameMemo> memo_;  // [frame]
 };
 
 /// Checks the invariant G(property) of `system` up to `max_depth` frames.

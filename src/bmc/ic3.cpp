@@ -299,6 +299,7 @@ class Ic3 {
     result_.solver_calls = solver().stats().solve_calls;
     result_.clauses_reused = solver().stats().clauses_reused;
     result_.total_conflicts = solver().stats().conflicts;
+    result_.propagations = solver().stats().propagations;
     result_.seconds = timer.seconds();
     return result_;
   }

@@ -73,6 +73,52 @@ ReachSweep reachability_sweep(const kernel::System& system, kernel::ExprId prope
   return out;
 }
 
+/// Span-arg names for one solver instance (static storage, as obs needs).
+struct InstanceArgNames {
+  const char* vars;
+  const char* clauses;
+  const char* conflicts;
+  const char* propagations;
+};
+constexpr InstanceArgNames kBaseArgs{"base_vars", "base_clauses", "base_conflicts",
+                                     "base_propagations"};
+constexpr InstanceArgNames kStepArgs{"step_vars", "step_clauses", "step_conflicts",
+                                     "step_propagations"};
+
+/// Records the solver work of one k-induction depth as `kind.depth` span
+/// args when the depth ends, on every exit path: per instance, `vars` and
+/// `clauses` are its size at the end of the depth, `conflicts` and
+/// `propagations` the work done during the depth.
+class DepthSolverArgs {
+ public:
+  DepthSolverArgs(obs::Span& span, const sat::Solver& base, const sat::Solver& step)
+      : span_(span), base_(base), step_(step), base_start_(base.stats()),
+        step_start_(step.stats()) {}
+  DepthSolverArgs(const DepthSolverArgs&) = delete;
+  DepthSolverArgs& operator=(const DepthSolverArgs&) = delete;
+  ~DepthSolverArgs() {
+    record(kBaseArgs, base_, base_start_);
+    record(kStepArgs, step_, step_start_);
+  }
+
+ private:
+  void record(const InstanceArgNames& names, const sat::Solver& s,
+              const sat::Solver::Stats& start) {
+    span_.set_arg(names.vars, s.num_vars());
+    span_.set_arg(names.clauses, static_cast<std::int64_t>(s.num_clauses()));
+    span_.set_arg(names.conflicts,
+                  static_cast<std::int64_t>(s.stats().conflicts - start.conflicts));
+    span_.set_arg(names.propagations,
+                  static_cast<std::int64_t>(s.stats().propagations - start.propagations));
+  }
+
+  obs::Span& span_;
+  const sat::Solver& base_;
+  const sat::Solver& step_;
+  sat::Solver::Stats base_start_;
+  sat::Solver::Stats step_start_;
+};
+
 }  // namespace
 
 ProofResult check_invariant_kind(const kernel::System& system, kernel::ExprId property,
@@ -95,6 +141,8 @@ ProofResult check_invariant_kind(const kernel::System& system, kernel::ExprId pr
         base.solver().stats().clauses_reused + step.solver().stats().clauses_reused;
     result.total_conflicts =
         base.solver().stats().conflicts + step.solver().stats().conflicts;
+    result.propagations =
+        base.solver().stats().propagations + step.solver().stats().propagations;
     result.seconds = timer.seconds();
     return result;
   };
@@ -102,6 +150,7 @@ ProofResult check_invariant_kind(const kernel::System& system, kernel::ExprId pr
   for (int k = 0; k <= options.max_k; ++k) {
     obs::Span depth_span("kind.depth");
     depth_span.set_arg("k", k);
+    const DepthSolverArgs depth_args(depth_span, base.solver(), step.solver());
     result.frames = static_cast<std::uint64_t>(k) + 1;
 
     // Base case: is P violated at depth exactly k? (Shallower depths were

@@ -33,6 +33,7 @@ struct ProofResult {
   std::uint64_t solver_calls = 0;       ///< SAT queries issued
   std::uint64_t clauses_reused = 0;     ///< learned clauses carried across queries
   std::uint64_t total_conflicts = 0;
+  std::uint64_t propagations = 0;       ///< literals propagated, summed over the run's solvers
   std::uint64_t frames = 0;             ///< IC3 frame count / k-induction frames unrolled
   std::uint64_t proof_obligations = 0;  ///< IC3 obligations processed (0 for k-induction)
   /// k-induction only: the proof was closed by the explicit reachability

@@ -110,6 +110,7 @@ VerificationResult verify_with_proof_engine(const tta::ClusterConfig& cfg, Lemma
   out.stats.clauses_reused = static_cast<std::size_t>(r.clauses_reused);
   out.stats.frames = static_cast<std::size_t>(r.frames);
   out.stats.proof_obligations = static_cast<std::size_t>(r.proof_obligations);
+  out.stats.propagations = static_cast<std::size_t>(r.propagations);
   switch (r.verdict) {
     case bmc::ProofVerdict::kProved:
       out.stats.depth = r.depth;

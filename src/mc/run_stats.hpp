@@ -83,12 +83,14 @@ struct RunStats {
   /// the run's single incremental solver (for bounded BMC exactly one per
   /// depth probed), `clauses_reused` the learned clauses carried across
   /// those calls, `frames` the IC3 frame count / k-induction unrolling
-  /// depth, and `proof_obligations` the IC3 obligation-queue pops (zero for
-  /// k-induction).
+  /// depth, `proof_obligations` the IC3 obligation-queue pops (zero for
+  /// k-induction), and `propagations` the literals the run's solvers
+  /// propagated.
   std::size_t solver_calls = 0;
   std::size_t clauses_reused = 0;
   std::size_t frames = 0;
   std::size_t proof_obligations = 0;
+  std::size_t propagations = 0;
   /// Symbolic-engine instrumentation (all zero for explicit-state runs):
   /// peak live BDD nodes, mark-and-sweep collections, unique-table and
   /// persistent op-cache hit fractions, and image/BFS iterations to the

@@ -71,6 +71,11 @@ bool write_chrome_trace(const Tracer& tracer, const std::string& path) {
                   << "\": " << e.arg;
               arg_first = false;
             }
+            for (std::size_t i = 0; i < e.num_extra_args; ++i) {
+              out << (arg_first ? "" : ", ") << "\"" << json_escape(e.extra_args[i].name)
+                  << "\": " << e.extra_args[i].value;
+              arg_first = false;
+            }
             if (e.detail != nullptr) {
               out << (arg_first ? "" : ", ") << "\"detail\": \""
                   << json_escape(e.detail) << "\"";

@@ -1,5 +1,6 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "support/assert.hpp"
@@ -115,7 +116,8 @@ std::uint64_t now_ns() noexcept {
 }
 
 void emit_span(const char* name, std::uint64_t start_ns, std::uint64_t end_ns,
-               std::int64_t arg, const char* arg_name, const char* detail_str) {
+               std::int64_t arg, const char* arg_name, const char* detail_str,
+               const TraceArg* extra, std::size_t num_extra) {
   detail::ThreadBuffer* buf = registered_buffer();
   if (buf == nullptr) return;
   TraceEvent e;
@@ -126,6 +128,8 @@ void emit_span(const char* name, std::uint64_t start_ns, std::uint64_t end_ns,
   e.dur_ns = end_ns >= start_ns ? end_ns - start_ns : 0;
   e.arg = arg;
   e.arg_name = arg_name;
+  e.num_extra_args = static_cast<std::uint8_t>(std::min(num_extra, kMaxExtraArgs));
+  std::copy(extra, extra + e.num_extra_args, e.extra_args);
   buf->push(e);
 }
 

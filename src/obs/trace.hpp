@@ -15,7 +15,7 @@
 // commit put the overhead on the fig6/safety/n5 exhaustive run below the
 // measurement noise floor (EXPERIMENTS.md "observability overhead").
 // When enabled, an append is a clock read plus a bump of the owning
-// thread's chunk cursor — no locks, no allocation except a new 64KiB
+// thread's chunk cursor — no locks, no allocation except a new 192KiB
 // chunk every 1024 events.
 //
 // Thread-safety contract (the "drain at barriers" design):
@@ -30,7 +30,9 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -40,6 +42,17 @@ namespace tt::obs {
 
 /// Sentinel for "span carries no integer argument".
 inline constexpr std::int64_t kNoArg = INT64_MIN;
+
+/// A named integer span argument beyond the first (see Span::set_arg).
+/// `name` must have static storage, like every string in a TraceEvent.
+struct TraceArg {
+  const char* name;
+  std::int64_t value;
+};
+
+/// How many arguments a span may carry besides the first. The widest user
+/// is kind.depth (k plus four solver sizes for each of two instances).
+inline constexpr std::size_t kMaxExtraArgs = 8;
 
 /// What a TraceEvent records. kSpan is a closed interval [ts, ts+dur];
 /// kCounter samples a value at ts; kInstant marks a point in time.
@@ -62,6 +75,8 @@ struct TraceEvent {
   std::int64_t arg = kNoArg;      ///< optional integer argument
   double value = 0.0;             ///< counter value (kCounter only)
   EventKind kind = EventKind::kInstant;
+  std::uint8_t num_extra_args = 0;             ///< spans: used slots of extra_args
+  TraceArg extra_args[kMaxExtraArgs] = {};     ///< spans: arguments after `arg`
 };
 
 namespace detail {
@@ -192,11 +207,13 @@ class Tracer {
 /// Nanoseconds since the active tracer's epoch; 0 when tracing is disabled.
 [[nodiscard]] std::uint64_t now_ns() noexcept;
 
-/// Emits a closed span [start_ns, end_ns] on the calling thread's buffer.
+/// Emits a closed span [start_ns, end_ns] on the calling thread's buffer,
+/// with `num_extra` (at most kMaxExtraArgs) further arguments after `arg`.
 /// No-op when disabled. Strings must have static storage (see TraceEvent).
 void emit_span(const char* name, std::uint64_t start_ns, std::uint64_t end_ns,
                std::int64_t arg = kNoArg, const char* arg_name = nullptr,
-               const char* detail = nullptr);
+               const char* detail = nullptr, const TraceArg* extra = nullptr,
+               std::size_t num_extra = 0);
 
 /// Samples a counter value at the current time. No-op when disabled.
 void emit_counter(const char* name, double value);
@@ -216,15 +233,30 @@ class Span {
   Span& operator=(const Span&) = delete;
   ~Span() {
     if (start_ns_ != 0) {
-      emit_span(name_, start_ns_ - 1, now_ns(), arg_, arg_name_, detail_);
+      emit_span(name_, start_ns_ - 1, now_ns(), arg_, arg_name_, detail_, extra_,
+                num_extra_);
     }
   }
 
-  /// Attaches an integer argument (e.g. a depth or round number) rendered
-  /// into the Chrome trace "args" object. Call any time before destruction.
+  /// Sets a named integer argument (e.g. a depth or round number) rendered
+  /// into the Chrome trace "args" object. Call any time before destruction;
+  /// setting a name again overwrites its value. A span holds up to
+  /// 1 + kMaxExtraArgs names; further new names are dropped. No-op while
+  /// disarmed.
   void set_arg(const char* arg_name, std::int64_t value) noexcept {
-    arg_name_ = arg_name;
-    arg_ = value;
+    if (start_ns_ == 0) return;
+    if (arg_name_ == nullptr || std::strcmp(arg_name_, arg_name) == 0) {
+      arg_name_ = arg_name;
+      arg_ = value;
+      return;
+    }
+    for (std::size_t i = 0; i < num_extra_; ++i) {
+      if (std::strcmp(extra_[i].name, arg_name) == 0) {
+        extra_[i].value = value;
+        return;
+      }
+    }
+    if (num_extra_ < kMaxExtraArgs) extra_[num_extra_++] = {arg_name, value};
   }
   /// Attaches a static-storage free-form label.
   void set_detail(const char* detail) noexcept { detail_ = detail; }
@@ -235,6 +267,8 @@ class Span {
   const char* arg_name_ = nullptr;
   std::int64_t arg_ = kNoArg;
   std::uint64_t start_ns_ = 0;  // 0 = disarmed (tracing was off at entry)
+  std::size_t num_extra_ = 0;
+  TraceArg extra_[kMaxExtraArgs] = {};
 };
 
 /// Manually opened/closed span for phases whose boundaries do not nest with

@@ -47,16 +47,24 @@ void Solver::add_clause(std::vector<Lit> lits) {
     }
     return;
   }
-  Clause c;
-  c.lits = std::move(out);
-  clauses_.push_back(std::move(c));
-  attach(static_cast<ClauseRef>(clauses_.size() - 1));
+  attach(alloc_clause(out, /*learned=*/false));
+  ++num_problem_;
+}
+
+Solver::ClauseRef Solver::alloc_clause(const std::vector<Lit>& lits, bool learned) {
+  const std::size_t at = arena_.size();
+  TT_REQUIRE(at + kHeaderWords + lits.size() < kNoReason, "SAT clause arena exhausted");
+  arena_.push_back(static_cast<std::uint32_t>(lits.size()) << 2 | (learned ? kLearnedBit : 0));
+  arena_.push_back(std::bit_cast<std::uint32_t>(0.0f));
+  for (const Lit l : lits) arena_.push_back(static_cast<std::uint32_t>(l.code()));
+  return static_cast<ClauseRef>(at);
 }
 
 void Solver::attach(ClauseRef cr) {
-  const Clause& c = clauses_[static_cast<std::size_t>(cr)];
-  watches_[static_cast<std::size_t>((~c.lits[0]).code())].push_back(cr);
-  watches_[static_cast<std::size_t>((~c.lits[1]).code())].push_back(cr);
+  const Lit l0 = clause_lit(cr, 0);
+  const Lit l1 = clause_lit(cr, 1);
+  watches_[static_cast<std::size_t>((~l0).code())].push_back({cr, l1});
+  watches_[static_cast<std::size_t>((~l1).code())].push_back({cr, l0});
 }
 
 void Solver::enqueue(Lit l, ClauseRef reason) {
@@ -71,32 +79,43 @@ Solver::ClauseRef Solver::propagate() {
   while (propagate_head_ < trail_.size()) {
     const Lit p = trail_[propagate_head_++];
     ++stats_.propagations;
+    const Lit false_lit = ~p;
     auto& watch_list = watches_[static_cast<std::size_t>(p.code())];
     std::size_t keep = 0;
     for (std::size_t i = 0; i < watch_list.size(); ++i) {
-      const ClauseRef cr = watch_list[i];
-      Clause& c = clauses_[static_cast<std::size_t>(cr)];
+      const Watcher w = watch_list[i];
+      if (lit_value(w.blocker) > 0) {
+        watch_list[keep++] = w;  // satisfied by the blocker; arena untouched
+        continue;
+      }
+      const ClauseRef cr = w.cref;
+      std::uint32_t* lits = &arena_[cr + kHeaderWords];
       // Ensure the falsified literal is lits[1].
-      if (c.lits[0] == ~p) std::swap(c.lits[0], c.lits[1]);
-      TT_ASSERT(c.lits[1] == ~p);
-      if (lit_value(c.lits[0]) > 0) {
-        watch_list[keep++] = cr;  // satisfied; keep watching
+      if (lits[0] == static_cast<std::uint32_t>(false_lit.code())) std::swap(lits[0], lits[1]);
+      TT_ASSERT(lits[1] == static_cast<std::uint32_t>(false_lit.code()));
+      const Lit first = Lit::from_code(static_cast<int>(lits[0]));
+      const Watcher kept{cr, first};
+      if (!(first == w.blocker) && lit_value(first) > 0) {
+        watch_list[keep++] = kept;  // satisfied; keep watching
         continue;
       }
       // Look for a new literal to watch.
       bool moved = false;
-      for (std::size_t k = 2; k < c.lits.size(); ++k) {
-        if (lit_value(c.lits[k]) >= 0) {
-          std::swap(c.lits[1], c.lits[k]);
-          watches_[static_cast<std::size_t>((~c.lits[1]).code())].push_back(cr);
+      const std::uint32_t size = clause_size(cr);
+      for (std::uint32_t k = 2; k < size; ++k) {
+        const Lit candidate = Lit::from_code(static_cast<int>(lits[k]));
+        if (lit_value(candidate) >= 0) {
+          lits[1] = lits[k];
+          lits[k] = static_cast<std::uint32_t>(false_lit.code());
+          watches_[static_cast<std::size_t>((~candidate).code())].push_back(kept);
           moved = true;
           break;
         }
       }
       if (moved) continue;
       // Unit or conflicting.
-      watch_list[keep++] = cr;
-      if (lit_value(c.lits[0]) < 0) {
+      watch_list[keep++] = kept;
+      if (lit_value(first) < 0) {
         // Conflict: restore the remaining watches and report.
         for (std::size_t j = i + 1; j < watch_list.size(); ++j) {
           watch_list[keep++] = watch_list[j];
@@ -105,7 +124,7 @@ Solver::ClauseRef Solver::propagate() {
         propagate_head_ = trail_.size();
         return cr;
       }
-      enqueue(c.lits[0], cr);
+      enqueue(first, cr);
     }
     watch_list.resize(keep);
   }
@@ -159,12 +178,11 @@ void Solver::bump_var(int var) {
   if (pos >= 0) heap_sift_up(static_cast<std::size_t>(pos));
 }
 
-void Solver::bump_clause(Clause& c) {
-  c.activity += clause_inc_;
-  if (c.activity > 1e20) {
-    for (Clause& cl : clauses_) {
-      if (cl.learned) cl.activity *= 1e-20;
-    }
+void Solver::bump_clause(ClauseRef cr) {
+  const float a = clause_activity(cr) + static_cast<float>(clause_inc_);
+  set_clause_activity(cr, a);
+  if (a > 1e20f) {
+    for (const ClauseRef l : learned_) set_clause_activity(l, clause_activity(l) * 1e-20f);
     clause_inc_ *= 1e-20;
   }
 }
@@ -187,9 +205,10 @@ void Solver::analyze(ClauseRef conflict, std::vector<Lit>& learnt, int& backtrac
   ClauseRef cr = conflict;
   do {
     TT_ASSERT(cr != kNoReason);
-    Clause& c = clauses_[static_cast<std::size_t>(cr)];
-    if (c.learned) bump_clause(c);
-    for (const Lit q : c.lits) {
+    if (is_learned(cr)) bump_clause(cr);
+    const std::uint32_t size = clause_size(cr);
+    for (std::uint32_t i = 0; i < size; ++i) {
+      const Lit q = clause_lit(cr, i);
       if (have_p && q == p) continue;
       const int v = q.var();
       if (seen_[static_cast<std::size_t>(v)] != 0 || level_[static_cast<std::size_t>(v)] == 0) {
@@ -270,8 +289,9 @@ void Solver::analyze_final(Lit failed) {
       // A decision above level 0 is necessarily an assumption.
       if (!(x == failed)) core_.push_back(x);
     } else {
-      for (const Lit q : clauses_[static_cast<std::size_t>(cr)].lits) {
-        const int qv = q.var();
+      const std::uint32_t size = clause_size(cr);
+      for (std::uint32_t k = 0; k < size; ++k) {
+        const int qv = clause_lit(cr, k).var();
         if (qv == v || level_[static_cast<std::size_t>(qv)] == 0) continue;
         if (seen_[static_cast<std::size_t>(qv)] == 0) {
           seen_[static_cast<std::size_t>(qv)] = 1;
@@ -295,8 +315,9 @@ bool Solver::lit_redundant(Lit l, std::uint32_t abstract_levels) {
       for (int v : newly_marked) seen_[static_cast<std::size_t>(v)] = 0;
       return false;
     }
-    const Clause& c = clauses_[static_cast<std::size_t>(cr)];
-    for (const Lit r : c.lits) {
+    const std::uint32_t size = clause_size(cr);
+    for (std::uint32_t i = 0; i < size; ++i) {
+      const Lit r = clause_lit(cr, i);
       const int v = r.var();
       if (v == q.var() || seen_[static_cast<std::size_t>(v)] != 0 ||
           level_[static_cast<std::size_t>(v)] == 0) {
@@ -362,55 +383,72 @@ int Solver::luby(int i) {
 }
 
 void Solver::reduce_learned() {
-  // Remove the least active half of the learned clauses (keeping binary
-  // clauses), then rebuild the watch lists.
-  std::vector<ClauseRef> learned;
-  for (std::size_t i = 0; i < clauses_.size(); ++i) {
-    if (clauses_[i].learned && clauses_[i].lits.size() > 2) {
-      learned.push_back(static_cast<ClauseRef>(i));
-    }
+  // Delete the least active half of the learned clauses (keeping binary
+  // clauses and current reasons): mark them deleted in the arena and strip
+  // their watchers. ClauseRefs held in reason_ stay valid; the dead words
+  // are reclaimed by collect_garbage once they are a fifth of the arena.
+  std::vector<ClauseRef> candidates;
+  for (const ClauseRef cr : learned_) {
+    if (clause_size(cr) > 2) candidates.push_back(cr);
   }
-  if (learned.size() < 100) return;
-  std::sort(learned.begin(), learned.end(), [&](ClauseRef a, ClauseRef b) {
-    return clauses_[static_cast<std::size_t>(a)].activity <
-           clauses_[static_cast<std::size_t>(b)].activity;
+  if (candidates.size() < 100) return;
+  std::sort(candidates.begin(), candidates.end(), [&](ClauseRef a, ClauseRef b) {
+    return clause_activity(a) < clause_activity(b);
   });
-  std::vector<std::uint8_t> drop(clauses_.size(), 0);
-  for (std::size_t i = 0; i < learned.size() / 2; ++i) {
-    const ClauseRef cr = learned[i];
-    const Clause& c = clauses_[static_cast<std::size_t>(cr)];
-    // Never drop a clause that is currently a reason on the trail.
-    bool is_reason = false;
-    for (const Lit l : c.lits) {
-      if (assign_[static_cast<std::size_t>(l.var())] != 0 &&
-          reason_[static_cast<std::size_t>(l.var())] == cr) {
-        is_reason = true;
-        break;
-      }
-    }
-    if (!is_reason) drop[static_cast<std::size_t>(cr)] = 1;
+  bool any = false;
+  for (std::size_t i = 0; i < candidates.size() / 2; ++i) {
+    const ClauseRef cr = candidates[i];
+    // The literal a clause implies sits at position 0, so the clause is a
+    // reason on the trail exactly when that literal is true because of it.
+    const Lit first = clause_lit(cr, 0);
+    if (lit_value(first) > 0 && reason_[static_cast<std::size_t>(first.var())] == cr) continue;
+    arena_[cr] |= kDeletedBit;
+    wasted_words_ += kHeaderWords + clause_size(cr);
+    any = true;
   }
-  // Rebuild: compacting clause storage would invalidate ClauseRefs held in
-  // reason_, so we only empty the dropped clauses and detach their watches.
+  if (!any) return;
   for (auto& wl : watches_) {
-    std::size_t keep = 0;
-    for (const ClauseRef cr : wl) {
-      if (drop[static_cast<std::size_t>(cr)] == 0) wl[keep++] = cr;
-    }
-    wl.resize(keep);
+    std::erase_if(wl, [&](const Watcher& w) { return is_deleted(w.cref); });
   }
-  for (std::size_t i = 0; i < clauses_.size(); ++i) {
-    if (drop[i] != 0) {
-      clauses_[i].lits.clear();
-      clauses_[i].lits.shrink_to_fit();
-      --live_learned_;
+  std::erase_if(learned_, [&](ClauseRef cr) { return is_deleted(cr); });
+  if (wasted_words_ * 5 > arena_.size()) collect_garbage();
+}
+
+void Solver::collect_garbage() {
+  // Slide the live clauses down over the deleted ones (order preserved),
+  // then remap every ClauseRef held in watchers, reasons and learned_.
+  // `moved` lists (old, new) offsets in ascending old order.
+  std::vector<std::pair<ClauseRef, ClauseRef>> moved;
+  ClauseRef to = 0;
+  for (ClauseRef from = 0; from < arena_.size();) {
+    const auto words = static_cast<ClauseRef>(kHeaderWords + clause_size(from));
+    if (!is_deleted(from)) {
+      std::copy(arena_.begin() + from, arena_.begin() + from + words, arena_.begin() + to);
+      moved.emplace_back(from, to);
+      to += words;
     }
+    from += words;
   }
+  arena_.resize(to);
+  arena_.shrink_to_fit();
+  wasted_words_ = 0;
+  const auto relocate = [&](ClauseRef& cr) {
+    const auto it = std::lower_bound(moved.begin(), moved.end(), std::pair(cr, ClauseRef{0}));
+    TT_ASSERT(it != moved.end() && it->first == cr);
+    cr = it->second;
+  };
+  for (auto& wl : watches_) {
+    for (Watcher& w : wl) relocate(w.cref);
+  }
+  for (ClauseRef& cr : reason_) {
+    if (cr != kNoReason) relocate(cr);
+  }
+  for (ClauseRef& cr : learned_) relocate(cr);
 }
 
 Result Solver::solve(const std::vector<Lit>& assumptions) {
   ++stats_.solve_calls;
-  if (stats_.solve_calls > 1) stats_.clauses_reused += live_learned_;
+  if (stats_.solve_calls > 1) stats_.clauses_reused += learned_.size();
   core_.clear();
   if (unsat_) return Result::kUnsat;
   TT_ASSERT(trail_lim_.empty());
@@ -440,16 +478,12 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
       if (learnt.size() == 1) {
         enqueue(learnt[0], kNoReason);
       } else {
-        Clause c;
-        c.lits = learnt;
-        c.learned = true;
-        clauses_.push_back(std::move(c));
-        const auto cr = static_cast<ClauseRef>(clauses_.size() - 1);
-        bump_clause(clauses_[static_cast<std::size_t>(cr)]);
+        const ClauseRef cr = alloc_clause(learnt, /*learned=*/true);
+        learned_.push_back(cr);
+        bump_clause(cr);
         attach(cr);
         enqueue(learnt[0], cr);
         ++stats_.learned;
-        ++live_learned_;
       }
       decay_activities();
       if (stats_.learned >= reduce_at_) {

@@ -4,7 +4,8 @@
 // are specialized for detecting bugs"; DESIGN.md §3.10 for the incremental
 // interface).
 //
-// Feature set: two-watched-literal propagation, first-UIP conflict analysis
+// Feature set: two-watched-literal propagation over a flat clause arena with
+// blocker literals in the watch lists, first-UIP conflict analysis
 // with recursive clause minimization, EVSIDS branching over an indexed binary
 // heap, phase saving, Luby restarts, lazy clause-database reduction, and
 // incremental solving under assumptions: `solve(assumptions)` may be called
@@ -15,6 +16,7 @@
 // `a` in the assumptions to activate `C`, and add the unit `¬a` to retire it.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -28,6 +30,8 @@ class Lit {
  public:
   Lit() = default;
   static Lit make(int var, bool negated) { return Lit((var << 1) | (negated ? 1 : 0)); }
+  /// Inverse of `code()`.
+  static Lit from_code(int code) { return Lit(code); }
 
   [[nodiscard]] int var() const noexcept { return code_ >> 1; }
   [[nodiscard]] bool negated() const noexcept { return (code_ & 1) != 0; }
@@ -87,24 +91,50 @@ class Solver {
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
-  /// Clause-database size (problem + currently retained learned clauses).
+  /// Clause-database size (problem + currently retained learned clauses;
+  /// clauses dropped by the learned-clause reduction no longer count).
   /// Units: clause count. Used by BMC telemetry to report formula growth
   /// per unrolling depth.
-  [[nodiscard]] std::size_t num_clauses() const noexcept { return clauses_.size(); }
+  [[nodiscard]] std::size_t num_clauses() const noexcept {
+    return num_problem_ + learned_.size();
+  }
 
  private:
-  struct Clause {
-    std::vector<Lit> lits;
-    bool learned = false;
-    double activity = 0.0;
+  // Clause arena: every clause of two or more literals is stored inline in
+  // `arena_` as [header][activity][lit codes...]. The header packs the size
+  // (bits 2..31), the learned bit (bit 0) and the deleted bit (bit 1); the
+  // activity word holds a float (only learned clauses use it). A ClauseRef is
+  // the header's word offset, stable until `collect_garbage` relocates.
+  using ClauseRef = std::uint32_t;
+  static constexpr ClauseRef kNoReason = UINT32_MAX;
+  static constexpr std::uint32_t kLearnedBit = 1;
+  static constexpr std::uint32_t kDeletedBit = 2;
+  static constexpr std::size_t kHeaderWords = 2;
+
+  /// A watch-list entry: the clause plus a "blocker", one of its other
+  /// literals. When the blocker is true the clause is satisfied and
+  /// propagation skips it without reading the arena.
+  struct Watcher {
+    ClauseRef cref;
+    Lit blocker;
   };
-  using ClauseRef = int;
-  static constexpr ClauseRef kNoReason = -1;
 
   [[nodiscard]] std::int8_t lit_value(Lit l) const {
     const std::int8_t v = assign_[static_cast<std::size_t>(l.var())];
     return l.negated() ? static_cast<std::int8_t>(-v) : v;
   }
+
+  [[nodiscard]] std::uint32_t clause_size(ClauseRef cr) const { return arena_[cr] >> 2; }
+  [[nodiscard]] bool is_learned(ClauseRef cr) const { return (arena_[cr] & kLearnedBit) != 0; }
+  [[nodiscard]] bool is_deleted(ClauseRef cr) const { return (arena_[cr] & kDeletedBit) != 0; }
+  [[nodiscard]] Lit clause_lit(ClauseRef cr, std::uint32_t i) const {
+    return Lit::from_code(static_cast<int>(arena_[cr + kHeaderWords + i]));
+  }
+  [[nodiscard]] float clause_activity(ClauseRef cr) const {
+    return std::bit_cast<float>(arena_[cr + 1]);
+  }
+  void set_clause_activity(ClauseRef cr, float a) { arena_[cr + 1] = std::bit_cast<std::uint32_t>(a); }
+  [[nodiscard]] ClauseRef alloc_clause(const std::vector<Lit>& lits, bool learned);
 
   void enqueue(Lit l, ClauseRef reason);
   [[nodiscard]] ClauseRef propagate();
@@ -114,10 +144,11 @@ class Solver {
   void backtrack(int level);
   [[nodiscard]] int pick_branch_var();
   void bump_var(int var);
-  void bump_clause(Clause& c);
+  void bump_clause(ClauseRef cr);
   void decay_activities();
   void attach(ClauseRef cr);
   void reduce_learned();
+  void collect_garbage();
   [[nodiscard]] static int luby(int i);
 
   // Indexed binary max-heap over activity_ (the MiniSat order heap): O(log n)
@@ -130,8 +161,11 @@ class Solver {
     return activity_[static_cast<std::size_t>(a)] < activity_[static_cast<std::size_t>(b)];
   }
 
-  std::vector<Clause> clauses_;
-  std::vector<std::vector<ClauseRef>> watches_;  // indexed by literal code
+  std::vector<std::uint32_t> arena_;
+  std::vector<ClauseRef> learned_;               ///< live learned clauses
+  std::size_t num_problem_ = 0;                  ///< problem clauses in the arena
+  std::size_t wasted_words_ = 0;                 ///< arena words of deleted clauses
+  std::vector<std::vector<Watcher>> watches_;    // indexed by literal code
   std::vector<std::int8_t> assign_;              // 0 unassigned, +1 true, -1 false
   std::vector<std::int8_t> phase_;               // saved phases
   std::vector<std::int8_t> model_;               // snapshot of the last kSat assignment
@@ -151,7 +185,6 @@ class Solver {
   std::vector<Lit> minimize_stack_;
   std::vector<Lit> core_;  ///< failed-assumption core of the last kUnsat
 
-  std::uint64_t live_learned_ = 0;  ///< learned clauses currently retained
   std::uint64_t reduce_at_ = 4000;
   bool unsat_ = false;
   Stats stats_;

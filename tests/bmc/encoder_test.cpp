@@ -5,6 +5,7 @@
 #include "kernel/packed_system.hpp"
 #include "kernel/ttalite.hpp"
 #include "mc/reachability.hpp"
+#include "tta/star_ir.hpp"
 
 namespace tt::bmc {
 namespace {
@@ -119,6 +120,45 @@ TEST(Bmc, StutterSemantics) {
   auto r2 = check_invariant_bounded(s, never2, 8);
   ASSERT_TRUE(r2.violation_found);
   EXPECT_EQ(r2.depth, 2);
+}
+
+TEST(Unroller, RepeatedExpressionAddsNoVariables) {
+  // bool_expr and int_eq are memoized per frame: asking for the same
+  // literal twice must not grow the formula.
+  kernel::TtaLiteConfig cfg;
+  cfg.n = 3;
+  cfg.init_window = 2;
+  kernel::TtaLite model(cfg);
+  const kernel::ExprId property = model.safety_expr();  // builds a fresh expression
+  Unroller u(model.system());
+  u.ensure_frames(3);
+  const sat::Lit first = u.bool_expr(property, 2);
+  const int vars = u.solver().num_vars();
+  const std::size_t clauses = u.solver().num_clauses();
+  EXPECT_EQ(u.bool_expr(property, 2), first);
+  EXPECT_EQ(u.solver().num_vars(), vars);
+  EXPECT_EQ(u.solver().num_clauses(), clauses);
+}
+
+TEST(Unroller, StarIrFrameSizeTripwire) {
+  // Size tripwire for the per-frame encoding of the fig6 n=3 star IR (the
+  // cell the k-induction engine proves). With int_eq memoized, shared ite
+  // subterms are encoded once per frame and value: ~34.3k variables per
+  // frame, against ~62k when every use re-encoded them.
+  tta::ClusterConfig cfg;
+  cfg.n = 3;
+  cfg.faulty_node = 0;
+  cfg.fault_degree = 6;
+  cfg.init_window = 3;
+  cfg.hub_init_window = 3;
+  const tta::StarIr ir(cfg);
+  Unroller u(ir.system());
+  u.ensure_frames(2);
+  const int before = u.solver().num_vars();
+  u.ensure_frames(3);
+  const int per_frame = u.solver().num_vars() - before;
+  EXPECT_GT(per_frame, 0);
+  EXPECT_LE(per_frame, 40'000);
 }
 
 }  // namespace

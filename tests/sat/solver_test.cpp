@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "support/rng.hpp"
 
 namespace tt::sat {
@@ -336,6 +338,98 @@ TEST(Solver, LargeChainedXorUnsat) {
   s.add_clause({pos(c.back())});
   s.add_clause({neg(c.back())});
   EXPECT_EQ(s.solve(), Result::kUnsat);
+}
+
+/// PHP(pigeons, holes): every pigeon in some hole, no hole holding two.
+/// Unsatisfiable whenever pigeons > holes.
+void add_pigeonhole(Solver& s, int pigeons, int holes) {
+  std::vector<std::vector<int>> x(static_cast<std::size_t>(pigeons));
+  for (auto& row : x) {
+    for (int h = 0; h < holes; ++h) row.push_back(s.new_var());
+  }
+  for (const auto& row : x) {
+    std::vector<Lit> clause;
+    for (const int v : row) clause.push_back(pos(v));
+    s.add_clause(clause);
+  }
+  for (int h = 0; h < holes; ++h) {
+    for (int p1 = 0; p1 < pigeons; ++p1) {
+      for (int p2 = p1 + 1; p2 < pigeons; ++p2) {
+        s.add_clause({neg(x[static_cast<std::size_t>(p1)][static_cast<std::size_t>(h)]),
+                      neg(x[static_cast<std::size_t>(p2)][static_cast<std::size_t>(h)])});
+      }
+    }
+  }
+}
+
+TEST(Solver, PigeonHole9Into8ReducesLearnedClauses) {
+  // Large enough to cross the first learned-clause reduction (at 4,000
+  // learned clauses) many times over: the refutation must survive clauses
+  // being deleted from (and compacted out of) the arena, and num_clauses()
+  // must count only the problem clauses plus the learned ones retained.
+  Solver s;
+  add_pigeonhole(s, 9, 8);
+  const std::size_t problem = s.num_clauses();
+  ASSERT_EQ(problem, 9u + 8u * 36u);
+  EXPECT_EQ(s.solve(), Result::kUnsat);
+  EXPECT_GT(s.stats().learned, 4000u);
+  EXPECT_GE(s.num_clauses(), problem);
+  EXPECT_LT(s.num_clauses(), problem + s.stats().learned);
+}
+
+TEST(Solver, IncrementalRandom3SatUnderAssumptionsAcrossReductions) {
+  // One satisfiable random 3-SAT instance (200 vars, ratio 4.0, planted
+  // model) solved many times under random assumptions. A kSat model must
+  // satisfy every clause and every assumption; a kUnsat answer must blame
+  // a non-empty subset of the assumptions (the formula alone is
+  // satisfiable).
+  constexpr int kVars = 200;
+  constexpr int kClauses = 800;
+  Rng rng(1403);
+  std::vector<bool> planted;
+  for (int v = 0; v < kVars; ++v) planted.push_back(rng.below(2) != 0);
+  Solver s;
+  for (int v = 0; v < kVars; ++v) (void)s.new_var();
+  std::vector<std::vector<Lit>> clauses;
+  while (static_cast<int>(clauses.size()) < kClauses) {
+    std::vector<Lit> clause;
+    bool satisfied = false;
+    for (int k = 0; k < 3; ++k) {
+      const int v = static_cast<int>(rng.below(kVars));
+      const bool negated = rng.below(2) != 0;
+      clause.push_back(Lit::make(v, negated));
+      satisfied = satisfied || planted[static_cast<std::size_t>(v)] != negated;
+    }
+    if (!satisfied) continue;
+    s.add_clause(clause);
+    clauses.push_back(clause);
+  }
+  int sat_calls = 0;
+  for (int round = 0; round < 60; ++round) {
+    std::vector<Lit> assumptions;
+    for (int k = 0; k < 12; ++k) {
+      const int v = static_cast<int>(rng.below(kVars));
+      assumptions.push_back(Lit::make(v, rng.below(2) != 0));
+    }
+    const Result r = s.solve(assumptions);
+    if (r == Result::kUnsat) {
+      ASSERT_FALSE(s.conflict_core().empty()) << "round " << round;
+      for (const Lit l : s.conflict_core()) {
+        EXPECT_NE(std::find(assumptions.begin(), assumptions.end(), l), assumptions.end());
+      }
+      continue;
+    }
+    ++sat_calls;
+    for (const Lit a : assumptions) EXPECT_EQ(s.value(a.var()), !a.negated());
+    for (const auto& clause : clauses) {
+      bool any = false;
+      for (const Lit l : clause) any = any || s.value(l.var()) != l.negated();
+      ASSERT_TRUE(any) << "round " << round << ": model violates a clause";
+    }
+  }
+  EXPECT_GT(sat_calls, 0);
+  EXPECT_GT(s.stats().learned, 4000u);
+  EXPECT_LT(s.num_clauses(), clauses.size() + s.stats().learned);
 }
 
 }  // namespace
