@@ -786,12 +786,23 @@ void Cluster::step_core(const ClusterState& c, int restart_node, Sink& sink,
   const auto restarts_used =
       static_cast<std::uint8_t>(c.restarts_used + (restart_node >= 0 ? 1 : 0));
 
+  // Odometer digit order: the faulty node first (fastest), then the correct
+  // nodes in index order. An epoch (one assignment of the correct nodes'
+  // choices) thus holds all ~(2n+3)^2 faulty-node output pairs at every
+  // placement; without a faulty node this is plain index order.
+  int digit[kMaxNodes];
+  int digits = 0;
+  if (fn != ClusterConfig::kNone) digit[digits++] = fn;
+  for (int i = 0; i < n; ++i) {
+    if (i != fn) digit[digits++] = i;
+  }
+
   int choice[kMaxNodes] = {};
   NodeVars next_node[kMaxNodes];
   Frame outs[kNumChannels][kMaxNodes];  // per-channel view of node outputs
   // Odometer-incremental refresh: only nodes whose choice digit changed are
-  // recomputed — the fastest digit (the faulty node when it is node 0, with
-  // its ~(2n+3)^2 output pairs) is usually the only one that moves.
+  // recomputed — the fastest digit (the faulty node, if any) is usually the
+  // only one that moves.
   auto refresh = [&](int i) {
     if (i == fn) {
       const auto& pr = fpairs[static_cast<std::size_t>(choice[i])];
@@ -893,19 +904,17 @@ void Cluster::step_core(const ClusterState& c, int restart_node, Sink& sink,
       }
     }
 
-    // Advance the odometer; a new epoch starts when a correct node's digit
-    // changed (the faulty node's next vars are the same for every choice).
+    // Advance the odometer. A new epoch starts when a correct node's digit
+    // changed, i.e. whenever the carry got past the faulty node's digit (the
+    // faulty node's next vars are the same for every choice).
     int k = 0;
-    new_epoch = false;
-    while (k < n) {
-      if (++choice[k] < nopt[k]) break;
-      if (k != fn && nopt[k] > 1) new_epoch = true;
-      choice[k] = 0;
+    while (k < n && ++choice[digit[k]] == nopt[digit[k]]) {
+      choice[digit[k]] = 0;
       ++k;
     }
     if (k == n) break;
-    if (k != fn) new_epoch = true;
-    for (int i = k; i >= 0; --i) refresh(i);
+    new_epoch = digit[k] != fn;
+    for (int j = k; j >= 0; --j) refresh(digit[j]);
   }
 }
 

@@ -357,5 +357,47 @@ TEST(ReductionGoldenQuotients, Fig6AndFig4QuotientCountsAreExact) {
   }
 }
 
+TEST(ReductionGoldenQuotients, Fig6SymPorCountsAndSinkWorkAtEveryFaultyNodePlacement) {
+  // fig6 n = 4 under sym+por with the faulty node at each placement. The
+  // counts do not depend on the kernel's enumeration order, so they are
+  // pinned exactly. The faulty node is the fastest odometer digit wherever
+  // it sits, so one epoch holds all of its output pairs and the hub-pair
+  // skip keeps the sink's work near the distinct edges at every placement;
+  // a kernel that splits those pairs across epochs reads ~2x here off
+  // node 0.
+  struct Cell {
+    int faulty_node;
+    std::size_t states;
+    std::size_t transitions;
+    std::size_t emitted;
+  };
+  const Cell cells[] = {
+      {0, 2847, 6297, 41949},
+      {1, 2738, 6424, 40699},
+      {2, 2513, 5745, 37119},
+      {3, 2927, 6570, 43581},
+  };
+  for (const auto& cell : cells) {
+    tta::ClusterConfig cfg;
+    cfg.n = 4;
+    cfg.faulty_node = cell.faulty_node;
+    cfg.fault_degree = 6;
+    cfg.init_window = 4;
+    cfg.hub_init_window = 4;
+    VerifyOptions opts;
+    opts.engine = mc::EngineKind::kSequential;
+    opts.reduction = mc::ReductionKind::kSymPor;
+    const auto r = verify(cfg, Lemma::kSafety, opts);
+    const std::string label = "faulty node " + std::to_string(cell.faulty_node);
+    ASSERT_TRUE(r.holds) << label << ": " << r.verdict_text;
+    EXPECT_EQ(r.stats.states, cell.states) << label;
+    EXPECT_EQ(r.stats.transitions, cell.transitions) << label;
+    EXPECT_EQ(r.stats.emitted, cell.emitted) << label;
+    ASSERT_FALSE(r.stats.frontier_sizes.empty()) << label;
+    const std::size_t initials = r.stats.frontier_sizes[0];
+    EXPECT_LE(2 * r.stats.canon_ops, 3 * (r.stats.transitions + initials)) << label;
+  }
+}
+
 }  // namespace
 }  // namespace tt::core

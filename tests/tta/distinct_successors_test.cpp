@@ -6,8 +6,9 @@
 // from the public model pieces — node_step, FaultyNodeOutputs::pairs,
 // hub_relay / faulty_hub_relay, hub_state_step / faulty_hub_state_step — in
 // the kernel's enumeration order (no-restart step first, then one variant
-// per restarted correct node; node odometer with node 0 fastest; relay
-// options; state options), maps each candidate through Cluster::reduce and
+// per restarted correct node; node odometer with the faulty node's digit
+// fastest, then the correct nodes in index order; relay options; state
+// options), maps each candidate through Cluster::reduce and
 // keeps first occurrences. For every reachable state the kernel must emit
 // exactly that sequence, and its `emitted` counter must grow by the size of
 // the labelled product.
@@ -70,6 +71,12 @@ void naive_variant(const Cluster& cl, const FaultyNodeOutputs& outputs, const Cl
     }
   }
 
+  // Digit order: the faulty node first, then the correct nodes by index.
+  std::vector<int> digits;
+  if (cfg.faulty_node != ClusterConfig::kNone) digits.push_back(cfg.faulty_node);
+  for (int i = 0; i < n; ++i) {
+    if (i != cfg.faulty_node) digits.push_back(i);
+  }
   std::vector<std::size_t> choice(static_cast<std::size_t>(n), 0);
   while (true) {
     ClusterState t;
@@ -116,8 +123,10 @@ void naive_variant(const Cluster& cl, const FaultyNodeOutputs& outputs, const Cl
       }
     }
     int k = 0;
-    while (k < n && ++choice[static_cast<std::size_t>(k)] == options[k].size()) {
-      choice[static_cast<std::size_t>(k)] = 0;
+    while (k < n) {
+      const int i = digits[static_cast<std::size_t>(k)];
+      if (++choice[static_cast<std::size_t>(i)] < options[i].size()) break;
+      choice[static_cast<std::size_t>(i)] = 0;
       ++k;
     }
     if (k == n) break;
@@ -142,7 +151,9 @@ Naive naive_successors(const Cluster& cl, const State& s) {
   return out;
 }
 
-enum class CellClass { kNodeFault, kFaultyHub, kRestarts, kTimeliness, kFeedbackOff };
+/// kMiddleFault comes last so the other classes keep the values in their
+/// parameter byte images (and so their test names).
+enum class CellClass { kNodeFault, kFaultyHub, kRestarts, kTimeliness, kFeedbackOff, kMiddleFault };
 
 struct OracleCell {
   int n;
@@ -157,14 +168,20 @@ const char* to_string(CellClass k) {
     case CellClass::kRestarts: return "restarts";
     case CellClass::kTimeliness: return "timeliness";
     case CellClass::kFeedbackOff: return "feedback_off";
+    case CellClass::kMiddleFault: return "middle_fault";
   }
   return "?";
 }
 
 /// Small windows keep every reachable set exhaustively checkable. The
-/// faulty node sits at node 0 (the fastest odometer digit) in some cells and
-/// at the last node in others, so both epoch shapes of the memo are covered;
-/// the faulty hub alternates between channels for the same reason.
+/// faulty node's digit always turns fastest; it sits at node 0 (digit order
+/// = index order), at node 1 (neither index order nor last-first) and at the
+/// last node (last-first), so every shape of the digit permutation is
+/// covered; the faulty hub alternates between channels. With windows of 2,
+/// the cells without restarts emit the same sequence whether the faulty
+/// node's digit turns first or last, so the node-1 cells take a restart
+/// budget like the last-node restart cells: a restarted node's fresh INIT
+/// choices then interleave with the faulty node's output pairs.
 ClusterConfig cell_config(const OracleCell& cell) {
   ClusterConfig cfg;
   cfg.n = cell.n;
@@ -189,6 +206,10 @@ ClusterConfig cell_config(const OracleCell& cell) {
     case CellClass::kFeedbackOff:
       cfg.faulty_node = cell.n - 1;
       cfg.feedback = false;
+      break;
+    case CellClass::kMiddleFault:
+      cfg.faulty_node = 1;
+      cfg.transient_restarts = 1;
       break;
   }
   return cfg;
@@ -241,6 +262,13 @@ std::vector<OracleCell> oracle_grid() {
                           Reduction::kSymPor}) {
         cells.push_back({n, k, r});
       }
+    }
+  }
+  // A middle placement needs a correct node on both sides of the faulty one.
+  for (int n : {3, 4}) {
+    for (Reduction r : {Reduction::kNone, Reduction::kSymmetry, Reduction::kPartialOrder,
+                        Reduction::kSymPor}) {
+      cells.push_back({n, CellClass::kMiddleFault, r});
     }
   }
   return cells;
