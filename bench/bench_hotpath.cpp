@@ -6,8 +6,8 @@
 //     interning) — the generation side of the pipeline;
 //   * intern-only throughput: pushing a pre-materialized candidate stream
 //     (the real BFS candidate mix: ~99% duplicates at fault degree 6)
-//     through StateIndexMap and ShardedStateIndexMap, with and without the
-//     hash-once + recently-seen-cache front end — the consumption side.
+//     through ShardedStateIndexMap and LockFreeStateIndexMap — the
+//     consumption side.
 //
 // Together they bound what any engine schedule can achieve and make hash /
 // cache regressions visible in isolation, without BFS noise on top.
@@ -24,9 +24,7 @@
 #include "support/hash.hpp"
 #include "support/lockfree_state_index_map.hpp"
 #include "support/one_core_probe.hpp"
-#include "support/recent_cache.hpp"
 #include "support/sharded_state_index_map.hpp"
-#include "support/state_index_map.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
 #include "tta/cluster.hpp"
@@ -106,35 +104,6 @@ void BM_SuccessorEnumeration(benchmark::State& state) {
                          benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SuccessorEnumeration)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_InternFlat(benchmark::State& state) {
-  const tt::tta::Cluster cluster(hotpath_config(4));
-  const auto stream = candidate_stream(cluster, reachable_states(cluster), 500000);
-  const bool cached = state.range(0) != 0;
-  for (auto _ : state) {
-    tt::StateIndexMap<kW> map;
-    tt::RecentSeenCache cache;
-    std::uint64_t acc = 0;
-    for (const State& s : stream) {
-      const std::uint64_t h = tt::hash_words(s);
-      if (cached) {
-        const std::uint32_t hint = cache.lookup(h);
-        if (hint != tt::RecentSeenCache::kMiss && map.at(hint) == s) {
-          acc += hint;
-          continue;
-        }
-      }
-      auto [idx, fresh] = map.insert(s, h);
-      if (cached) cache.remember(h, idx);
-      acc += idx;
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.counters["candidates"] =
-      benchmark::Counter(static_cast<double>(stream.size()) * state.iterations(),
-                         benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_InternFlat)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_InternSharded(benchmark::State& state) {
   const tt::tta::Cluster cluster(hotpath_config(4));
@@ -418,31 +387,8 @@ void emit_report(tt::BenchReport& report) {
     return timer.seconds();
   };
 
-  add("hotpath/intern/flat", "seq", stream.size(), timed([&] {
-        tt::StateIndexMap<kW> map;
-        std::uint64_t acc = 0;
-        for (const State& s : stream) acc += map.insert(s, tt::hash_words(s)).first;
-        return acc;
-      }));
-  add("hotpath/intern/flat_cached", "seq", stream.size(), timed([&] {
-        tt::StateIndexMap<kW> map;
-        tt::RecentSeenCache cache;
-        std::uint64_t acc = 0;
-        for (const State& s : stream) {
-          const std::uint64_t h = tt::hash_words(s);
-          const std::uint32_t hint = cache.lookup(h);
-          if (hint != tt::RecentSeenCache::kMiss && map.at(hint) == s) {
-            acc += hint;
-            continue;
-          }
-          auto [idx, fresh] = map.insert(s, h);
-          cache.remember(h, idx);
-          acc += idx;
-        }
-        return acc;
-      }));
   add("hotpath/intern/sharded_serial", "seq", stream.size(), timed([&] {
-        tt::ShardedStateIndexMap<kW> map;
+        auto map = tt::mc::detail::make_sequential_store<tt::ShardedStateIndexMap<kW>>();
         std::uint64_t acc = 0;
         for (const State& s : stream) acc += map.insert_serial(s, tt::hash_words(s)).first;
         return acc;
@@ -469,9 +415,8 @@ void emit_report(tt::BenchReport& report) {
       }),
       "lockfree");
   std::printf("%s", t.render().c_str());
-  std::printf("(generation bounds every engine; the cached intern row shows the\n"
-              " recently-seen cache absorbing the ~99%% duplicate candidate mix\n"
-              " before it reaches the open-addressed probe sequence.)\n\n");
+  std::printf("(generation bounds every engine; sharded_serial is the sequential\n"
+              " engines' store: one shard, serial inserts.)\n\n");
 
   contended_stage(report, stream);
 

@@ -1,9 +1,8 @@
 #include "bmc/kinduction.hpp"
 
-#include <unordered_set>
-
 #include "bmc/encoder.hpp"
 #include "kernel/packed_system.hpp"
+#include "mc/reachability.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "support/timer.hpp"
@@ -11,16 +10,6 @@
 namespace tt::bmc {
 
 namespace {
-
-struct StateHash {
-  std::size_t operator()(const kernel::PackedSystem::State& s) const noexcept {
-    std::uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (const std::uint64_t w : s) {
-      h ^= w + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
 
 /// Result of the lazy explicit reachability sweep (the completeness
 /// threshold). Exactly one of the two fields is >= 0 unless the state
@@ -32,44 +21,27 @@ struct ReachSweep {
   int violation_depth = -1;
 };
 
+/// Runs the sequential explicit engine over the packed system: its BFS
+/// returns a shortest counterexample, so the trace length is the minimal
+/// violating depth, and an exhausted run's depth is the diameter.
 ReachSweep reachability_sweep(const kernel::System& system, kernel::ExprId property,
                               std::size_t state_budget) {
   obs::Span span("kind.diameter");
   const kernel::PackedSystem ps(system);
+  const auto r = mc::check_invariant(
+      ps,
+      [&](const kernel::PackedSystem::State& s) {
+        return system.exprs().eval(property, ps.unpack(s)) != 0;
+      },
+      {.max_states = state_budget});
   ReachSweep out;
-  const auto violates = [&](const kernel::PackedSystem::State& s) {
-    return system.exprs().eval(property, ps.unpack(s)) == 0;
-  };
-  std::unordered_set<kernel::PackedSystem::State, StateHash> seen;
-  std::vector<kernel::PackedSystem::State> frontier;
-  ps.initial_states([&](const kernel::PackedSystem::State& s) {
-    if (seen.insert(s).second) frontier.push_back(s);
-  });
-  int depth = 0;
-  std::vector<kernel::PackedSystem::State> next;
-  while (!frontier.empty()) {
-    // BFS order makes the first violating level the minimal violating
-    // depth; stopping there keeps violated runs cheap.
-    for (const auto& s : frontier) {
-      if (violates(s)) {
-        out.violation_depth = depth;
-        return out;
-      }
-    }
-    if (seen.size() > state_budget) return {};
-    next.clear();
-    for (const auto& s : frontier) {
-      ps.successors(s, [&](const kernel::PackedSystem::State& t) {
-        if (seen.insert(t).second) next.push_back(t);
-      });
-    }
-    if (next.empty()) break;
-    std::swap(frontier, next);
-    ++depth;
+  switch (r.verdict) {
+    case mc::Verdict::kHolds: out.diameter = r.stats.depth; break;
+    case mc::Verdict::kViolated: out.violation_depth = static_cast<int>(r.trace.size()) - 1; break;
+    case mc::Verdict::kLimit: break;
   }
-  out.diameter = depth;
-  span.set_arg("depth", depth);
-  span.set_arg("states", static_cast<int>(seen.size()));
+  span.set_arg("depth", r.stats.depth);
+  span.set_arg("states", static_cast<std::int64_t>(r.stats.states));
   return out;
 }
 

@@ -10,13 +10,16 @@
 // complete in the limit; because the recurrence diameter is astronomically
 // larger than the reachability diameter for these models, the engine also
 // carries a *completeness threshold*: when pure induction has not closed by
-// `diameter_after_k`, it runs one explicit BFS sweep of the (exact, finite)
-// reachable state graph, evaluating P on every state. A clean sweep of
-// diameter D certifies the invariant on every reachable state — PROVED at
-// D, the classical bounded-diameter argument collapsed to its explicit
+// `diameter_after_k`, it runs the sequential explicit engine
+// (mc::check_invariant over kernel::PackedSystem) once over the (exact,
+// finite) reachable state graph, evaluating P on every state. A clean sweep
+// of BFS depth D certifies the invariant on every reachable state — PROVED
+// at D, the classical bounded-diameter argument collapsed to its explicit
 // witness. A sweep that meets a violating state instead pins the minimal
-// violating depth, and the base instance probes up to exactly that depth so
-// the counterexample stays SAT-derived and minimal-length.
+// violating depth (the length of the engine's shortest counterexample), and
+// the base instance probes up to exactly that depth so the counterexample
+// stays SAT-derived and minimal-length. A sweep that runs out of its state
+// budget leaves pure induction as the only route.
 #pragma once
 
 #include "bmc/proof.hpp"

@@ -7,6 +7,8 @@
 #pragma once
 
 #include <cstdint>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "mc/engine.hpp"
@@ -14,12 +16,12 @@
 #include "obs/trace.hpp"
 #include "support/hash.hpp"
 #include "support/recent_cache.hpp"
-#include "support/state_index_map.hpp"
+#include "support/sharded_state_index_map.hpp"
 
 namespace tt::mc::detail {
 
 /// Applies the StoreOptions dials a store supports; a no-op for stores
-/// without the corresponding hooks (StateIndexMap, ShardedStateIndexMap).
+/// without the corresponding hooks (ShardedStateIndexMap).
 /// Must run before the first insert: the spill directory is a pre-insert
 /// dial.
 template <class Map>
@@ -81,27 +83,34 @@ void copy_store_stats(const Map& seen, RunStats& stats) {
   }
 }
 
+/// The store of a single-threaded search: one shard, so ids are dense and in
+/// insertion order (BFS queue positions, DFS colour indices). The sharded
+/// map starts with a 1 << 16-slot probe table: a smaller start rehashes
+/// through the early levels, a larger one page-faults on small runs. The
+/// lock-free store keeps its own default start size.
+template <class Map>
+[[nodiscard]] Map make_sequential_store() {
+  constexpr std::size_t kWords = std::tuple_size_v<typename Map::State>;
+  if constexpr (std::is_same_v<Map, ShardedStateIndexMap<kWords>>) {
+    return Map(1, std::size_t{1} << 15);  // + 64 headroom rounds up to 1 << 16 slots
+  } else {
+    return Map(1);
+  }
+}
+
 /// Sequential BFS working set: interned states, optional parent links and
 /// the dense-id queue. `visit` is the single entry point engines feed states
 /// through (initial and successor alike).
 ///
-/// `Map` is any store with the StateIndexMap interface that assigns *dense*
-/// ids in insertion order — StateIndexMap itself, or a single-shard
-/// LockFreeStateIndexMap (whose serial-insert path is picked automatically).
-/// Parent links and the queue are indexed by those dense ids.
-template <std::size_t W, class Map = StateIndexMap<W>>
+/// `Map` is a one-shard ShardedStateIndexMap or LockFreeStateIndexMap (see
+/// make_sequential_store); parent links and the queue are indexed by its
+/// dense ids.
+template <std::size_t W, class Map = ShardedStateIndexMap<W>>
 struct BfsCore {
   using State = std::array<std::uint64_t, W>;
   static constexpr std::uint32_t kNoParent = Map::kEmpty;
 
-  explicit BfsCore(bool track_parents = true, const SearchLimits& limits = {})
-      : parents(track_parents) {
-    // A bounded run pre-sizes the store so the cap is hit before the
-    // allocator is (and no rehash happens mid-search).
-    if (limits.states_bounded()) {
-      seen.reserve(limits.max_states + limits.max_states / 8 + 1);
-    }
-  }
+  explicit BfsCore(bool track_parents = true) : parents(track_parents) {}
 
   /// Interns `s` with BFS parent `from`; enqueues when fresh.
   /// Returns {dense id, fresh}.
@@ -120,15 +129,9 @@ struct BfsCore {
       ++dup_visits;
       return {hint, false};
     }
-    auto [idx, fresh] = [&] {
-      // BfsCore is strictly single-threaded: take the serial insert path
-      // (inline growth, relaxed atomics) when the store distinguishes one.
-      if constexpr (requires { seen.insert_serial(s, h); }) {
-        return seen.insert_serial(s, h);
-      } else {
-        return seen.insert(s, h);
-      }
-    }();
+    // BfsCore is strictly single-threaded: the serial insert path takes no
+    // lock (and grows the lock-free store inline).
+    auto [idx, fresh] = seen.insert_serial(s, h);
     cache.remember(h, idx);
     if (fresh) {
       if (parents) parent.push_back(from);
@@ -151,7 +154,7 @@ struct BfsCore {
            queue.capacity() * sizeof(std::uint32_t) + cache.memory_bytes();
   }
 
-  Map seen;
+  Map seen = make_sequential_store<Map>();
   RecentSeenCache cache;
   std::vector<std::uint32_t> parent;  // dense id -> predecessor id (if `parents`)
   std::vector<std::uint32_t> queue;   // dense ids in BFS order

@@ -24,7 +24,7 @@
 #include "obs/trace.hpp"
 #include "support/lockfree_state_index_map.hpp"
 #include "support/recent_cache.hpp"
-#include "support/state_index_map.hpp"
+#include "support/sharded_state_index_map.hpp"
 #include "support/timer.hpp"
 
 namespace tt::mc {
@@ -64,8 +64,8 @@ namespace detail {
 /// that already materialized the reachable set pass its size, so the DFS
 /// never rehashes from default capacity).
 ///
-/// `Map` must assign dense ids (`color` is indexed by them): StateIndexMap
-/// or a single-shard LockFreeStateIndexMap. The DFS has no quiescent points,
+/// `Map` is a one-shard store (`color` is indexed by its dense ids; see
+/// make_sequential_store). The DFS has no quiescent points,
 /// so the lock-free store runs in its raw (uncompressed, unspilled) tier —
 /// the sealing/spill machinery only engages in the level-synchronous BFS
 /// engines.
@@ -79,12 +79,9 @@ template <class Map, class TS, class Pred, class RootFn>
   Timer timer;
   obs::Span run_span("liveness.lasso");
   LivenessResult<TS> result;
-  Map seen;                // interns goal-free states only
+  Map seen = make_sequential_store<Map>();  // interns goal-free states only
   RecentSeenCache cache;   // duplicate suppression in front of `seen`
   std::vector<std::uint8_t> color;  // parallel to `seen`
-  if (expected_states == 0 && limits.states_bounded()) {
-    expected_states = limits.max_states + limits.max_states / 8 + 1;
-  }
   if (expected_states > 0) {
     seen.reserve(expected_states);
     color.reserve(expected_states);
@@ -101,15 +98,9 @@ template <class Map, class TS, class Pred, class RootFn>
       ++result.stats.dup_transitions;
       return {hint, false};
     }
-    auto [idx, fresh] = [&] {
-      // The lasso search is single-threaded: take the serial insert path
-      // (inline growth) when the store distinguishes one.
-      if constexpr (requires { seen.insert_serial(s, h); }) {
-        return seen.insert_serial(s, h);
-      } else {
-        return seen.insert(s, h);
-      }
-    }();
+    // The lasso search is single-threaded: the serial insert path takes no
+    // lock (and grows the lock-free store inline).
+    auto [idx, fresh] = seen.insert_serial(s, h);
     cache.remember(h, idx);
     if (!fresh) ++result.stats.dup_transitions;
     return {idx, fresh};
@@ -215,25 +206,17 @@ template <class Map, class TS, class Pred, class RootFn>
 }  // namespace detail
 
 /// F(goal): every behaviour from an initial state eventually reaches a goal
-/// state (Lemma 2).
+/// state (Lemma 2). The DFS explores in the identical order under either
+/// `store.kind` (dense ids, serial inserts), so results are bit-identical.
 template <TransitionSystem TS, class Pred>
 [[nodiscard]] LivenessResult<TS> check_eventually(const TS& ts, Pred&& goal,
-                                                  const SearchLimits& limits = {}) {
-  return detail::lasso_search<StateIndexMap<TS::kWords>>(
-      ts, goal, [&](auto&& visit) { ts.initial_states(visit); }, limits);
-}
-
-/// Store-dispatching F(goal): the DFS explores in the identical order under
-/// either store (dense ids, serial inserts), so results are bit-identical.
-template <TransitionSystem TS, class Pred>
-[[nodiscard]] LivenessResult<TS> check_eventually_store(const TS& ts, Pred&& goal,
-                                                        const SearchLimits& limits,
-                                                        const StoreOptions& store) {
+                                                  const SearchLimits& limits = {},
+                                                  const StoreOptions& store = {}) {
+  auto roots = [&](auto&& visit) { ts.initial_states(visit); };
   if (store.kind == StoreKind::kLockFree) {
-    return detail::lasso_search<LockFreeStateIndexMap<TS::kWords>>(
-        ts, goal, [&](auto&& visit) { ts.initial_states(visit); }, limits);
+    return detail::lasso_search<LockFreeStateIndexMap<TS::kWords>>(ts, goal, roots, limits);
   }
-  return check_eventually(ts, std::forward<Pred>(goal), limits);
+  return detail::lasso_search<ShardedStateIndexMap<TS::kWords>>(ts, goal, roots, limits);
 }
 
 namespace detail {
@@ -250,7 +233,7 @@ template <class Map, TransitionSystem TS, class Pred>
   std::size_t bfs_cache_hits = 0;
   std::size_t bfs_dups = 0;
   {
-    detail::BfsCore<TS::kWords, Map> bfs(/*track_parents=*/false, limits);
+    detail::BfsCore<TS::kWords, Map> bfs(/*track_parents=*/false);
     auto visit = [&](const State& s) {
       ++bfs_hash_ops;
       bfs.visit(s, detail::BfsCore<TS::kWords, Map>::kNoParent, hash_words(s));
@@ -296,23 +279,17 @@ template <class Map, TransitionSystem TS, class Pred>
 /// covers recovery after the goal was already reached once — the property
 /// the restart/reintegration experiments need (a transient fault knocks a
 /// node out of the synchronous set; the set must always pull it back).
+/// Bit-identical results across `store.kind`.
 template <TransitionSystem TS, class Pred>
 [[nodiscard]] LivenessResult<TS> check_always_eventually(const TS& ts, Pred&& goal,
-                                                         const SearchLimits& limits = {}) {
-  return detail::check_always_eventually_impl<StateIndexMap<TS::kWords>>(
-      ts, std::forward<Pred>(goal), limits);
-}
-
-/// Store-dispatching AG AF(goal); bit-identical results across stores.
-template <TransitionSystem TS, class Pred>
-[[nodiscard]] LivenessResult<TS> check_always_eventually_store(const TS& ts, Pred&& goal,
-                                                               const SearchLimits& limits,
-                                                               const StoreOptions& store) {
+                                                         const SearchLimits& limits = {},
+                                                         const StoreOptions& store = {}) {
   if (store.kind == StoreKind::kLockFree) {
     return detail::check_always_eventually_impl<LockFreeStateIndexMap<TS::kWords>>(
         ts, std::forward<Pred>(goal), limits);
   }
-  return check_always_eventually(ts, std::forward<Pred>(goal), limits);
+  return detail::check_always_eventually_impl<ShardedStateIndexMap<TS::kWords>>(
+      ts, std::forward<Pred>(goal), limits);
 }
 
 }  // namespace tt::mc

@@ -94,9 +94,6 @@ template <class Map, TransitionSystem TS, class Pred>
 
   Map seen(kShards);
   detail::apply_store_options(seen, opts.store);
-  if (limits.states_bounded()) {
-    seen.reserve(limits.max_states + limits.max_states / 8 + kShards);
-  }
 
   std::array<std::vector<std::uint32_t>, kShards> parent;  // local id -> parent global id
   std::array<std::vector<std::uint32_t>, kShards> fresh;   // ids interned this level
@@ -420,7 +417,7 @@ template <TransitionSystem TS, class Pred>
                                                        const EngineOptions& opts = {}) {
   TT_ASSERT(kind != EngineKind::kSymbolic);
   auto r = kind == EngineKind::kSequential
-               ? check_invariant_store(ts, std::forward<Pred>(holds), opts.limits, opts.store)
+               ? check_invariant(ts, std::forward<Pred>(holds), opts.limits, opts.store)
                : check_invariant_parallel(ts, std::forward<Pred>(holds), opts);
   if (opts.finalize_stats) opts.finalize_stats(r.stats);
   return r;

@@ -23,7 +23,7 @@
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "support/lockfree_state_index_map.hpp"
-#include "support/state_index_map.hpp"
+#include "support/sharded_state_index_map.hpp"
 #include "support/timer.hpp"
 
 namespace tt::mc {
@@ -53,9 +53,9 @@ struct InvariantResult {
 
 namespace detail {
 
-/// check_invariant over an explicit store type; see the public wrappers
-/// below. `Map` must assign dense ids (StateIndexMap or a single-shard
-/// LockFreeStateIndexMap) because BfsCore's bookkeeping is id-indexed.
+/// check_invariant over an explicit store type; see the public function
+/// below. `Map` is a one-shard store (BfsCore's bookkeeping is indexed by
+/// its dense ids).
 template <class Map, TransitionSystem TS, class Pred>
 [[nodiscard]] InvariantResult<TS> check_invariant_impl(const TS& ts, Pred&& holds,
                                                        const SearchLimits& limits,
@@ -64,7 +64,7 @@ template <class Map, TransitionSystem TS, class Pred>
   Timer timer;
   obs::Span run_span("bfs.sequential");
   InvariantResult<TS> result;
-  detail::BfsCore<TS::kWords, Map> bfs(/*track_parents=*/true, limits);
+  detail::BfsCore<TS::kWords, Map> bfs(/*track_parents=*/true);
   detail::apply_store_options(bfs.seen, store);
 
   bool violated = false;
@@ -146,30 +146,21 @@ template <class Map, TransitionSystem TS, class Pred>
 ///
 /// `holds` is a predicate on packed states. Returns on first violation with a
 /// minimal-length trace, or after the frontier empties (kHolds), or when a
-/// limit triggers (kLimit).
+/// limit triggers (kLimit). Both stores intern states in the identical (BFS)
+/// order and the violation is picked by that order, so verdicts, counts and
+/// traces are bit-identical across `store.kind`; the lock-free store
+/// additionally seals/compresses the closed set between levels and spills
+/// past StoreOptions::mem_budget_bytes.
 template <TransitionSystem TS, class Pred>
 [[nodiscard]] InvariantResult<TS> check_invariant(const TS& ts, Pred&& holds,
-                                                  const SearchLimits& limits = {}) {
-  return detail::check_invariant_impl<StateIndexMap<TS::kWords>>(ts, std::forward<Pred>(holds),
-                                                                 limits, StoreOptions{});
-}
-
-/// Store-dispatching sequential invariant check. Both stores intern states
-/// in the identical (BFS) order and the violation is picked by that order,
-/// so verdicts, counts and traces are bit-identical across stores; the
-/// lock-free store additionally seals/compresses the closed set between
-/// levels and spills past StoreOptions::mem_budget_bytes.
-template <TransitionSystem TS, class Pred>
-[[nodiscard]] InvariantResult<TS> check_invariant_store(const TS& ts, Pred&& holds,
-                                                        const SearchLimits& limits,
-                                                        const StoreOptions& store) {
+                                                  const SearchLimits& limits = {},
+                                                  const StoreOptions& store = {}) {
   if (store.kind == StoreKind::kLockFree) {
-    // One shard: BfsCore needs dense ids for its parent/queue bookkeeping.
     return detail::check_invariant_impl<LockFreeStateIndexMap<TS::kWords>>(
         ts, std::forward<Pred>(holds), limits, store);
   }
-  return detail::check_invariant_impl<StateIndexMap<TS::kWords>>(ts, std::forward<Pred>(holds),
-                                                                 limits, store);
+  return detail::check_invariant_impl<ShardedStateIndexMap<TS::kWords>>(
+      ts, std::forward<Pred>(holds), limits, store);
 }
 
 /// Exhaustively counts reachable states (the paper's `sal-smc --count`

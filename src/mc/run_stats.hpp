@@ -110,10 +110,6 @@ struct RunStats {
 struct SearchLimits {
   std::size_t max_states = std::numeric_limits<std::size_t>::max();
   int max_depth = std::numeric_limits<int>::max();  ///< BFS level / path length
-
-  [[nodiscard]] bool states_bounded() const noexcept {
-    return max_states != std::numeric_limits<std::size_t>::max();
-  }
 };
 
 }  // namespace tt::mc

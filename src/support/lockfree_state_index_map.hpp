@@ -79,8 +79,8 @@
 
 #include "support/assert.hpp"
 #include "support/hash.hpp"
+#include "support/sharded_state_index_map.hpp"
 #include "support/spill_writer.hpp"
-#include "support/state_index_map.hpp"
 
 // Out-of-core support needs the POSIX pieces (SpillWriter::platform_supported
 // reports the same condition at runtime); kept as a macro so tests can
@@ -355,7 +355,8 @@ class LockFreeStateIndexMap {
   }
 
   /// Caps the total interned states; insert throws StateCapacityError beyond
-  /// it. Quiescent only. Mirrors StateIndexMap's max_states constructor dial.
+  /// it. Quiescent only. Mirrors ShardedStateIndexMap's max_states_per_shard
+  /// constructor dial.
   void set_max_states(std::uint64_t n) { max_states_ = n; }
 
   /// Sets the resident-memory budget in bytes (0 = unlimited). Sealed pages

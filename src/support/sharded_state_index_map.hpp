@@ -1,22 +1,25 @@
-// ShardedStateIndexMap: the concurrent sibling of StateIndexMap.
+// ShardedStateIndexMap: the interning table of the explicit-state engines.
 //
-// The state store is hash-partitioned into S lock-striped shards (S a power
-// of two, fixed at construction). Each shard is an independent open-addressed
-// probe table plus state arena, guarded by its own mutex, so inserts to
-// different shards never contend and inserts to the same shard serialize on
-// one cheap lock. A global dense id encodes the (shard, local) pair as
+// It interns fixed-width packed states (arrays of W u64 words) and assigns
+// each distinct state a 32-bit id; the id doubles as a parent-link handle
+// for counterexample reconstruction. The store is hash-partitioned into S
+// lock-striped shards (S a power of two, fixed at construction). Each shard
+// is an independent open-addressed probe table plus state arena, guarded by
+// its own mutex, so inserts to different shards never contend and inserts
+// to the same shard serialize on one cheap lock. A global dense id encodes
+// the (shard, local) pair as
 //
 //     id = (local << log2(S)) | shard
 //
 // which keeps ids 32-bit, makes at()/parent-link addressing O(1), and gives a
 // deterministic total order on ids that the parallel BFS uses to pick the
-// minimal (depth, id) violation.
+// minimal (depth, id) violation. With one shard the ids are dense and in
+// insertion order, so they also serve as BFS queue positions: that is the
+// sequential engines' configuration (BfsCore, the DFS lasso search).
 //
 // Thread-safety contract:
 //   * insert()        — safe from any number of threads concurrently.
-//   * insert_serial() — single-threaded fast path (no lock); a map with one
-//                       shard and serial inserts costs the same as the plain
-//                       StateIndexMap.
+//   * insert_serial() — single-threaded fast path (no lock).
 //   * find()/at()     — lock-free reads; safe concurrently with each other
 //                       and, for find(), with inserts to *other* shards. A
 //                       find concurrent with an insert to the same shard is a
@@ -29,14 +32,21 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "support/assert.hpp"
 #include "support/hash.hpp"
-#include "support/state_index_map.hpp"
 
 namespace tt {
+
+/// Thrown when a state store would exceed its dense-id space (2^32 - 1
+/// states) or an explicitly configured cap.
+class StateCapacityError : public std::length_error {
+ public:
+  using std::length_error::length_error;
+};
 
 template <std::size_t W>
 class ShardedStateIndexMap {
@@ -161,13 +171,14 @@ class ShardedStateIndexMap {
   }
 
   /// Pre-sizes every shard for `total_states` states overall (assumes the
-  /// hash spreads evenly; a 25% per-shard margin absorbs skew). Not
-  /// thread-safe; call before exploration starts.
+  /// hash spreads evenly; a 25% per-shard margin absorbs skew), clamped to
+  /// the per-shard cap. Not thread-safe; call before exploration starts.
   void reserve(std::size_t total_states) {
-    const std::size_t per_shard = total_states / shard_count() + total_states / (4 * shard_count()) + 64;
+    std::size_t per_shard = total_states / shard_count() + total_states / (4 * shard_count()) + 64;
+    if (per_shard > local_limit_) per_shard = static_cast<std::size_t>(local_limit_);
     for (unsigned s = 0; s <= shard_mask_; ++s) {
       Shard& sh = shards_[s];
-      sh.arena.reserve(per_shard < local_limit_ ? per_shard : local_limit_);
+      sh.arena.reserve(per_shard);
       std::size_t cap = sh.table.size();
       while ((per_shard + 1) * 10 >= cap * 7) cap <<= 1;
       if (cap != sh.table.size()) rehash(sh, cap);

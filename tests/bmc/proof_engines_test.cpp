@@ -109,6 +109,21 @@ TEST(KInduction, DiameterFallbackClosesNonInductiveInvariant) {
   EXPECT_FALSE(r2.via_diameter);
 }
 
+TEST(KInduction, ExhaustedSweepBudgetFallsBackToPureInduction) {
+  // The sweep runs at once but may intern only 2 of the 4 reachable states:
+  // it stops at its limit without a verdict, and pure induction closes the
+  // proof on its own.
+  kernel::System s = make_chain_with_unreachable_tail(32);
+  auto& e = s.exprs();
+  const kernel::ExprId never6 = e.lnot(e.eq_const(e.var(0), 6));
+  KindOptions opt;
+  opt.diameter_after_k = 0;
+  opt.diameter_state_budget = 2;
+  auto r = check_invariant_kind(s, never6, opt);
+  EXPECT_EQ(r.verdict, ProofVerdict::kProved);
+  EXPECT_FALSE(r.via_diameter);
+}
+
 TEST(Ic3, ProvesSaturatingInvariantWithConvergedFrames) {
   kernel::System s = make_saturating_counter();
   auto& e = s.exprs();

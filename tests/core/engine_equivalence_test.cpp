@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -20,11 +22,15 @@
 namespace tt::core {
 namespace {
 
+// gtest appends the cell's byte image to each test name; the explicit zero
+// bytes stand where the compiler would pad, so the name is the same in every
+// build.
 struct GridCell {
   int n;
   int degree;
-  bool feedback;
   Lemma lemma;
+  bool feedback;
+  std::uint8_t zero_pad[3] = {};
 };
 
 std::string cell_name(const ::testing::TestParamInfo<GridCell>& info) {
@@ -96,20 +102,18 @@ TEST_P(EngineEquivalenceGrid, ParallelIsDeterministicAcrossThreadCounts) {
 // and EG engines). The hub-agreement cells at degree >= 3 are VIOLATED
 // cells, so the suite covers counterexample agreement, not just
 // holds-verdicts.
-INSTANTIATE_TEST_SUITE_P(
-    Grid, EngineEquivalenceGrid,
-    ::testing::Values(GridCell{3, 1, true, Lemma::kSafety}, GridCell{3, 2, true, Lemma::kSafety},
-                      GridCell{3, 3, true, Lemma::kSafety}, GridCell{3, 5, true, Lemma::kSafety},
-                      GridCell{3, 6, true, Lemma::kSafety}, GridCell{3, 6, false, Lemma::kSafety},
-                      GridCell{4, 6, true, Lemma::kSafety}, GridCell{4, 3, false, Lemma::kSafety},
-                      GridCell{3, 2, true, Lemma::kTimeliness},
-                      GridCell{3, 6, true, Lemma::kTimeliness},
-                      GridCell{4, 6, true, Lemma::kTimeliness},
-                      GridCell{3, 2, true, Lemma::kHubAgreement},
-                      GridCell{3, 3, true, Lemma::kHubAgreement},
-                      GridCell{3, 6, true, Lemma::kHubAgreement},
-                      GridCell{4, 6, true, Lemma::kHubAgreement}),
-    cell_name);
+constexpr GridCell kInvariantCells[] = {
+    {3, 1, Lemma::kSafety, true},        {3, 2, Lemma::kSafety, true},
+    {3, 3, Lemma::kSafety, true},        {3, 5, Lemma::kSafety, true},
+    {3, 6, Lemma::kSafety, true},        {3, 6, Lemma::kSafety, false},
+    {4, 6, Lemma::kSafety, true},        {4, 3, Lemma::kSafety, false},
+    {3, 2, Lemma::kTimeliness, true},    {3, 6, Lemma::kTimeliness, true},
+    {4, 6, Lemma::kTimeliness, true},    {3, 2, Lemma::kHubAgreement, true},
+    {3, 3, Lemma::kHubAgreement, true},  {3, 6, Lemma::kHubAgreement, true},
+    {4, 6, Lemma::kHubAgreement, true}};
+
+INSTANTIATE_TEST_SUITE_P(Grid, EngineEquivalenceGrid, ::testing::ValuesIn(kInvariantCells),
+                         cell_name);
 
 TEST(EngineEquivalenceHub, Safety2FaultyHubGrid) {
   for (int n : {3, 4}) {
@@ -342,10 +346,11 @@ TEST_P(EngineEquivalenceStore, LockFreeIsObservationallyIdenticalToLocked) {
 
 // Safety holds-cell, a VIOLATED hub-agreement cell (trace equality matters
 // most there) and an OWCTY liveness cell.
-INSTANTIATE_TEST_SUITE_P(Grid, EngineEquivalenceStore,
-                         ::testing::Values(GridCell{3, 2, true, Lemma::kSafety},
-                                           GridCell{3, 3, true, Lemma::kHubAgreement},
-                                           GridCell{3, 2, true, Lemma::kLiveness}),
+constexpr GridCell kStoreCells[] = {{3, 2, Lemma::kSafety, true},
+                                    {3, 3, Lemma::kHubAgreement, true},
+                                    {3, 2, Lemma::kLiveness, true}};
+
+INSTANTIATE_TEST_SUITE_P(Grid, EngineEquivalenceStore, ::testing::ValuesIn(kStoreCells),
                          cell_name);
 
 // ---------------------------------------------------------------------------
@@ -431,19 +436,11 @@ TEST_P(ProofEngineGrid, KindAgreesWithSequentialAndProvesHoldsCells) {
 // hub-agreement cell: its refutation sits at star-IR depth 26 and costs ~3
 // minutes of SAT probing alone; deep hub-agreement refutation is covered by
 // the n=3 cells.
-INSTANTIATE_TEST_SUITE_P(
-    Grid, ProofEngineGrid,
-    ::testing::Values(GridCell{3, 1, true, Lemma::kSafety}, GridCell{3, 2, true, Lemma::kSafety},
-                      GridCell{3, 3, true, Lemma::kSafety}, GridCell{3, 5, true, Lemma::kSafety},
-                      GridCell{3, 6, true, Lemma::kSafety}, GridCell{3, 6, false, Lemma::kSafety},
-                      GridCell{4, 6, true, Lemma::kSafety}, GridCell{4, 3, false, Lemma::kSafety},
-                      GridCell{3, 2, true, Lemma::kTimeliness},
-                      GridCell{3, 6, true, Lemma::kTimeliness},
-                      GridCell{4, 6, true, Lemma::kTimeliness},
-                      GridCell{3, 2, true, Lemma::kHubAgreement},
-                      GridCell{3, 3, true, Lemma::kHubAgreement},
-                      GridCell{3, 6, true, Lemma::kHubAgreement}),
-    cell_name);
+// That cell is the last entry of kInvariantCells.
+INSTANTIATE_TEST_SUITE_P(Grid, ProofEngineGrid,
+                         ::testing::ValuesIn(std::begin(kInvariantCells),
+                                             std::end(kInvariantCells) - 1),
+                         cell_name);
 
 // IC3 blocks one generalized cube per obligation, and on this model the
 // predecessor space of an over-approximated frame is the full valuation
@@ -482,7 +479,7 @@ TEST(Ic3Engine, ProvesReducedWindowSafetyCell) {
 TEST(Ic3Engine, RefutesTightTimelinessBoundWithReplayableTrace) {
   // Tightening the timeliness bound to 2 slots plants a violation a few
   // levels deep — reachable for IC3's obligation queue in seconds.
-  GridCell cell{3, 1, true, Lemma::kTimeliness};
+  GridCell cell{3, 1, Lemma::kTimeliness, true};
   tta::ClusterConfig cfg = cell_config(cell);
   cfg.timeliness_bound = 2;
 
@@ -560,7 +557,7 @@ TEST(EngineEquivalenceStore, BeyondRamRunMatchesInRamCountsExactly) {
   // shard). The beyond-RAM run must reach the same verdict with the same
   // exact counts as the unconstrained one — spilling is a memory tier, not
   // an approximation.
-  const GridCell cell{4, 3, false, Lemma::kSafety};
+  const GridCell cell{4, 3, Lemma::kSafety, false};
   const auto in_ram =
       run_store(cell, mc::EngineKind::kSequential, 1, mc::StoreKind::kLockFree);
   const auto spilled =
@@ -582,7 +579,7 @@ TEST(EngineEquivalenceStore, LockFreeSpillAgreesWithLockedOnFig6N6BeyondRam) {
   // locked in-RAM run is the oracle; lockfree pushes every sealed page
   // through the write-behind pipeline and evicts it. Both must agree bit for
   // bit — out-of-core is a memory tier, never an approximation.
-  const GridCell cell{6, 6, true, Lemma::kSafety};
+  const GridCell cell{6, 6, Lemma::kSafety, true};
   const auto locked =
       run_store(cell, mc::EngineKind::kParallel, 4, mc::StoreKind::kShardedLocked);
   ASSERT_TRUE(locked.exhausted);
@@ -606,7 +603,7 @@ TEST(EngineEquivalenceStore, WriterDeviceFullStarBurstsOutOfTheWorkerPool) {
   // and the coordinator rethrows — never std::terminate, never a wedged
   // barrier, never a silently truncated state space.
   ::setenv("TTSTART_SPILL_FAIL_AFTER", "1", 1);
-  const GridCell cell{6, 6, true, Lemma::kSafety};
+  const GridCell cell{6, 6, Lemma::kSafety, true};
   EXPECT_THROW(
       (void)run_store(cell, mc::EngineKind::kParallel, 4, mc::StoreKind::kLockFree, /*budget=*/1),
       StateCapacityError);

@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <string_view>
 
 #include "core/verifier.hpp"
 #include "mc/reachability.hpp"
@@ -27,33 +26,22 @@
 namespace tt::core {
 namespace {
 
+// gtest appends the cell's byte image to each test name. The cell holds no
+// pointer and no padding, so the name is the same in every build.
 struct GoldenCell {
-  const char* name;
+  int figure;  ///< 6: fig6_config(n); 4: fig4_config(degree, lemma)
   Lemma lemma;
   int n;
   int degree;
   std::size_t states;
   std::size_t transitions;  ///< distinct edges
+  std::size_t emitted;      ///< labelled successors (choice combinations)
 };
 
-// Labelled successors (choice combinations) per grid cell. Kept beside
-// GoldenCell rather than in it: gtest names each parameterised case after
-// the cell's byte image, so the cell layout stays fixed.
-std::size_t golden_emitted(std::string_view name) {
-  static constexpr struct {
-    std::string_view name;
-    std::size_t emitted;
-  } kEmitted[] = {
-      {"fig6_safety_n3", 45899},       {"fig6_safety_n4", 482344},
-      {"fig4_safety_deg1", 22677},     {"fig4_safety_deg3", 1238320},
-      {"fig4_liveness_deg1", 22673},   {"fig4_liveness_deg3", 1232486},
-      {"fig4_timeliness_deg1", 22787}, {"fig4_timeliness_deg3", 1262793},
-  };
-  for (const auto& e : kEmitted) {
-    if (e.name == name) return e.emitted;
-  }
-  ADD_FAILURE() << "no emitted count pinned for " << name;
-  return 0;
+std::string golden_name(const GoldenCell& cell) {
+  return "fig" + std::to_string(cell.figure) + "_" + to_string(cell.lemma) +
+         (cell.figure == 6 ? "_n" + std::to_string(cell.n)
+                           : "_deg" + std::to_string(cell.degree));
 }
 
 tta::ClusterConfig fig6_config(int n) {
@@ -92,17 +80,17 @@ class GoldenCounts : public ::testing::TestWithParam<GoldenCell> {};
 
 TEST_P(GoldenCounts, ExactAcrossEnginesAndThreadCounts) {
   const GoldenCell& cell = GetParam();
-  const tta::ClusterConfig cfg = cell.lemma == Lemma::kSafety && cell.degree == 6
-                                     ? fig6_config(cell.n)
-                                     : fig4_config(cell.degree, cell.lemma);
+  const std::string name = golden_name(cell);
+  const tta::ClusterConfig cfg =
+      cell.figure == 6 ? fig6_config(cell.n) : fig4_config(cell.degree, cell.lemma);
 
   VerifyOptions seq_opts;
   seq_opts.engine = mc::EngineKind::kSequential;
   const auto seq = verify(cfg, cell.lemma, seq_opts);
-  ASSERT_TRUE(seq.holds) << cell.name << ": " << seq.verdict_text;
-  EXPECT_EQ(seq.stats.states, cell.states) << cell.name;
-  EXPECT_EQ(seq.stats.transitions, cell.transitions) << cell.name;
-  EXPECT_EQ(seq.stats.emitted, golden_emitted(cell.name)) << cell.name;
+  ASSERT_TRUE(seq.holds) << name << ": " << seq.verdict_text;
+  EXPECT_EQ(seq.stats.states, cell.states) << name;
+  EXPECT_EQ(seq.stats.transitions, cell.transitions) << name;
+  EXPECT_EQ(seq.stats.emitted, cell.emitted) << name;
 
   if (cell.lemma == Lemma::kLiveness) {
     // F(goal) liveness: the sequential DFS, the parallel OWCTY engine and
@@ -111,45 +99,45 @@ TEST_P(GoldenCounts, ExactAcrossEnginesAndThreadCounts) {
     // all three, hash_ops matches between seq and par (hash-once on the
     // same candidate stream; the hash-once formula below is BFS-specific),
     // and sym never hashes at all.
-    EXPECT_GT(seq.stats.hash_ops, std::size_t{0}) << cell.name;
+    EXPECT_GT(seq.stats.hash_ops, std::size_t{0}) << name;
     for (int threads : {1, 2, 4}) {
       VerifyOptions par_opts;
       par_opts.engine = mc::EngineKind::kParallel;
       par_opts.threads = threads;
       const auto par = verify(cfg, cell.lemma, par_opts);
-      const std::string label = std::string(cell.name) + "/par@" + std::to_string(threads);
+      const std::string label = name + "/par@" + std::to_string(threads);
       ASSERT_TRUE(par.holds) << label << ": " << par.verdict_text;
       EXPECT_EQ(par.engine_used, mc::EngineKind::kParallel) << label;
       EXPECT_EQ(par.stats.states, cell.states) << label;
       EXPECT_EQ(par.stats.transitions, cell.transitions) << label;
-      EXPECT_EQ(par.stats.emitted, golden_emitted(cell.name)) << label;
+      EXPECT_EQ(par.stats.emitted, cell.emitted) << label;
       EXPECT_EQ(par.stats.hash_ops, seq.stats.hash_ops) << label;
       EXPECT_EQ(par.stats.residue_states, std::size_t{0}) << label;
     }
     VerifyOptions sym_opts;
     sym_opts.engine = mc::EngineKind::kSymbolic;
     const auto sym = verify(cfg, cell.lemma, sym_opts);
-    const std::string label = std::string(cell.name) + "/sym";
+    const std::string label = name + "/sym";
     ASSERT_TRUE(sym.holds) << label << ": " << sym.verdict_text;
     EXPECT_EQ(sym.engine_used, mc::EngineKind::kSymbolic) << label;
     EXPECT_EQ(sym.stats.states, cell.states) << label;
     EXPECT_EQ(sym.stats.transitions, cell.transitions) << label;
-    EXPECT_EQ(sym.stats.emitted, golden_emitted(cell.name)) << label;
+    EXPECT_EQ(sym.stats.emitted, cell.emitted) << label;
     EXPECT_EQ(sym.stats.hash_ops, std::size_t{0}) << label;
     return;
   }
-  expect_hash_once(seq, std::string(cell.name) + "/seq");
+  expect_hash_once(seq, name + "/seq");
 
   for (int threads : {1, 2, 4}) {
     VerifyOptions par_opts;
     par_opts.engine = mc::EngineKind::kParallel;
     par_opts.threads = threads;
     const auto par = verify(cfg, cell.lemma, par_opts);
-    const std::string label = std::string(cell.name) + "/par@" + std::to_string(threads);
+    const std::string label = name + "/par@" + std::to_string(threads);
     ASSERT_TRUE(par.holds) << label << ": " << par.verdict_text;
     EXPECT_EQ(par.stats.states, cell.states) << label;
     EXPECT_EQ(par.stats.transitions, cell.transitions) << label;
-    EXPECT_EQ(par.stats.emitted, golden_emitted(cell.name)) << label;
+    EXPECT_EQ(par.stats.emitted, cell.emitted) << label;
     expect_hash_once(par, label);
   }
 
@@ -159,12 +147,12 @@ TEST_P(GoldenCounts, ExactAcrossEnginesAndThreadCounts) {
   VerifyOptions sym_opts;
   sym_opts.engine = mc::EngineKind::kSymbolic;
   const auto sym = verify(cfg, cell.lemma, sym_opts);
-  const std::string label = std::string(cell.name) + "/sym";
+  const std::string label = name + "/sym";
   ASSERT_TRUE(sym.holds) << label << ": " << sym.verdict_text;
   EXPECT_EQ(sym.engine_used, mc::EngineKind::kSymbolic) << label;
   EXPECT_EQ(sym.stats.states, cell.states) << label;
   EXPECT_EQ(sym.stats.transitions, cell.transitions) << label;
-  EXPECT_EQ(sym.stats.emitted, golden_emitted(cell.name)) << label;
+  EXPECT_EQ(sym.stats.emitted, cell.emitted) << label;
   EXPECT_EQ(sym.stats.hash_ops, std::size_t{0}) << label;
   EXPECT_GT(sym.stats.bdd_peak_live_nodes, std::size_t{0}) << label;
 }
@@ -174,20 +162,20 @@ TEST_P(GoldenCounts, LockFreeStoreReproducesGoldenCountsExactly) {
   // same states, transitions and hash-ops (hash-once survives the store) on
   // the sequential engine and the parallel engine at 1/2/4 threads.
   const GoldenCell& cell = GetParam();
-  const tta::ClusterConfig cfg = cell.lemma == Lemma::kSafety && cell.degree == 6
-                                     ? fig6_config(cell.n)
-                                     : fig4_config(cell.degree, cell.lemma);
+  const std::string name = golden_name(cell);
+  const tta::ClusterConfig cfg =
+      cell.figure == 6 ? fig6_config(cell.n) : fig4_config(cell.degree, cell.lemma);
 
   VerifyOptions seq_opts;
   seq_opts.engine = mc::EngineKind::kSequential;
   seq_opts.store.kind = mc::StoreKind::kLockFree;
   const auto seq = verify(cfg, cell.lemma, seq_opts);
-  ASSERT_TRUE(seq.holds) << cell.name << ": " << seq.verdict_text;
-  EXPECT_EQ(seq.stats.states, cell.states) << cell.name;
-  EXPECT_EQ(seq.stats.transitions, cell.transitions) << cell.name;
-  EXPECT_EQ(seq.stats.emitted, golden_emitted(cell.name)) << cell.name;
+  ASSERT_TRUE(seq.holds) << name << ": " << seq.verdict_text;
+  EXPECT_EQ(seq.stats.states, cell.states) << name;
+  EXPECT_EQ(seq.stats.transitions, cell.transitions) << name;
+  EXPECT_EQ(seq.stats.emitted, cell.emitted) << name;
   if (cell.lemma != Lemma::kLiveness) {
-    expect_hash_once(seq, std::string(cell.name) + "/lockfree_seq");
+    expect_hash_once(seq, name + "/lockfree_seq");
   }
 
   for (int threads : {1, 2, 4}) {
@@ -197,11 +185,11 @@ TEST_P(GoldenCounts, LockFreeStoreReproducesGoldenCountsExactly) {
     par_opts.store.kind = mc::StoreKind::kLockFree;
     const auto par = verify(cfg, cell.lemma, par_opts);
     const std::string label =
-        std::string(cell.name) + "/lockfree_par@" + std::to_string(threads);
+        name + "/lockfree_par@" + std::to_string(threads);
     ASSERT_TRUE(par.holds) << label << ": " << par.verdict_text;
     EXPECT_EQ(par.stats.states, cell.states) << label;
     EXPECT_EQ(par.stats.transitions, cell.transitions) << label;
-    EXPECT_EQ(par.stats.emitted, golden_emitted(cell.name)) << label;
+    EXPECT_EQ(par.stats.emitted, cell.emitted) << label;
     EXPECT_EQ(par.stats.hash_ops, seq.stats.hash_ops) << label;
   }
 }
@@ -215,38 +203,38 @@ TEST_P(GoldenCounts, ProofEngineProvesInvariantCellsUnbounded) {
   // reduced cells in engine_equivalence_test.cpp: the full-window golden
   // cells are beyond its obligation budget in test time.)
   const GoldenCell& cell = GetParam();
+  const std::string name = golden_name(cell);
   if (cell.lemma == Lemma::kLiveness) {
     GTEST_SKIP() << "proof engines are invariant-only";
   }
-  const tta::ClusterConfig cfg = cell.lemma == Lemma::kSafety && cell.degree == 6
-                                     ? fig6_config(cell.n)
-                                     : fig4_config(cell.degree, cell.lemma);
+  const tta::ClusterConfig cfg =
+      cell.figure == 6 ? fig6_config(cell.n) : fig4_config(cell.degree, cell.lemma);
 
   VerifyOptions opts;
   opts.engine = mc::EngineKind::kKInduction;
   const auto proof = verify(cfg, cell.lemma, opts);
-  ASSERT_TRUE(proof.holds) << cell.name << ": " << proof.verdict_text;
-  EXPECT_EQ(proof.engine_used, mc::EngineKind::kKInduction) << cell.name;
+  ASSERT_TRUE(proof.holds) << name << ": " << proof.verdict_text;
+  EXPECT_EQ(proof.engine_used, mc::EngineKind::kKInduction) << name;
   EXPECT_EQ(proof.verdict_text.rfind("PROVED@", 0), 0u)
-      << cell.name << ": " << proof.verdict_text;
-  EXPECT_GT(proof.stats.solver_calls, 0u) << cell.name;
-  EXPECT_GT(proof.stats.clauses_reused, 0u) << cell.name;
+      << name << ": " << proof.verdict_text;
+  EXPECT_GT(proof.stats.solver_calls, 0u) << name;
+  EXPECT_GT(proof.stats.clauses_reused, 0u) << name;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Grid, GoldenCounts,
-    ::testing::Values(
-        GoldenCell{"fig6_safety_n3", Lemma::kSafety, 3, 6, 1276, 3401},
-        GoldenCell{"fig6_safety_n4", Lemma::kSafety, 4, 6, 6592, 16973},
-        GoldenCell{"fig4_safety_deg1", Lemma::kSafety, 4, 1, 18404, 22677},
-        GoldenCell{"fig4_safety_deg3", Lemma::kSafety, 4, 3, 46944, 120881},
-        GoldenCell{"fig4_liveness_deg1", Lemma::kLiveness, 4, 1, 18400, 22673},
-        GoldenCell{"fig4_liveness_deg3", Lemma::kLiveness, 4, 3, 46350, 119465},
-        GoldenCell{"fig4_timeliness_deg1", Lemma::kTimeliness, 4, 1, 18514, 22787},
-        GoldenCell{"fig4_timeliness_deg3", Lemma::kTimeliness, 4, 3, 49467, 126607}),
-    [](const ::testing::TestParamInfo<GoldenCell>& info) {
-      return std::string(info.param.name);
-    });
+constexpr GoldenCell kGoldenCells[] = {
+    {6, Lemma::kSafety, 3, 6, 1276, 3401, 45899},
+    {6, Lemma::kSafety, 4, 6, 6592, 16973, 482344},
+    {4, Lemma::kSafety, 4, 1, 18404, 22677, 22677},
+    {4, Lemma::kSafety, 4, 3, 46944, 120881, 1238320},
+    {4, Lemma::kLiveness, 4, 1, 18400, 22673, 22673},
+    {4, Lemma::kLiveness, 4, 3, 46350, 119465, 1232486},
+    {4, Lemma::kTimeliness, 4, 1, 18514, 22787, 22787},
+    {4, Lemma::kTimeliness, 4, 3, 49467, 126607, 1262793}};
+
+INSTANTIATE_TEST_SUITE_P(Grid, GoldenCounts, ::testing::ValuesIn(kGoldenCells),
+                         [](const ::testing::TestParamInfo<GoldenCell>& info) {
+                           return golden_name(info.param);
+                         });
 
 TEST(GoldenCounts, Fig5FaultFreeReachableCounts) {
   // The fig5 "measured reachable states" column: fault-free model,

@@ -7,6 +7,7 @@
 // 1/2/4 threads, and sym, plus cross-thread lasso identity for par.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -18,12 +19,20 @@
 namespace tt::mc {
 namespace {
 
+// gtest appends the cell's byte image to each test name; the explicit zero
+// bytes stand where the compiler would pad, so the name is the same in every
+// build.
 struct ReplayCell {
-  const char* name;
   int n;
-  bool big_bang;
   core::Lemma lemma;
+  bool big_bang;
+  std::uint8_t zero_pad[3] = {};
 };
+
+std::string replay_name(const ReplayCell& cell) {
+  return "hub_n" + std::to_string(cell.n) + (cell.big_bang ? "" : "_nobigbang") +
+         (cell.lemma == core::Lemma::kReintegration ? "_reintegration" : "");
+}
 
 /// The §5.2 residual-clique configuration: a faulty guardian with a tight
 /// hub window keeps one node colliding between two ghost schedules forever,
@@ -44,6 +53,7 @@ class LassoReplayGrid : public ::testing::TestWithParam<ReplayCell> {};
 
 TEST_P(LassoReplayGrid, EveryEngineLassoReplaysThroughTheModel) {
   const ReplayCell cell = GetParam();
+  const std::string name = replay_name(cell);
   const tta::ClusterConfig cfg =
       core::prepare_config(violating_config(cell), cell.lemma);
   const tta::Cluster cluster(cfg);
@@ -54,14 +64,14 @@ TEST_P(LassoReplayGrid, EveryEngineLassoReplaysThroughTheModel) {
   core::VerifyOptions seq_opts;
   seq_opts.engine = EngineKind::kSequential;
   const auto seq = core::verify(violating_config(cell), cell.lemma, seq_opts);
-  ASSERT_TRUE(seq.exhausted) << cell.name;
-  ASSERT_FALSE(seq.holds) << cell.name << ": expected the §5.2 violation, got "
+  ASSERT_TRUE(seq.exhausted) << name;
+  ASSERT_FALSE(seq.holds) << name << ": expected the §5.2 violation, got "
                           << seq.verdict_text;
   std::string why;
   ASSERT_TRUE(validate_lasso(cluster, goal, seq.trace, seq.loop_start,
                              /*require_initial_root=*/cell.lemma == core::Lemma::kLiveness,
                              &why))
-      << cell.name << "/seq: " << why;
+      << name << "/seq: " << why;
 
   std::vector<tta::Cluster::State> first_trace;
   std::size_t first_loop = 0;
@@ -71,18 +81,18 @@ TEST_P(LassoReplayGrid, EveryEngineLassoReplaysThroughTheModel) {
     par_opts.threads = threads;
     const auto par = core::verify(violating_config(cell), cell.lemma, par_opts);
     ASSERT_EQ(par.engine_used, EngineKind::kParallel);
-    ASSERT_FALSE(par.holds) << cell.name << "/par@" << threads << ": " << par.verdict_text;
-    EXPECT_EQ(par.verdict_text, seq.verdict_text) << cell.name << "/par@" << threads;
+    ASSERT_FALSE(par.holds) << name << "/par@" << threads << ": " << par.verdict_text;
+    EXPECT_EQ(par.verdict_text, seq.verdict_text) << name << "/par@" << threads;
     ASSERT_TRUE(validate_lasso(cluster, goal, par.trace, par.loop_start,
                                /*require_initial_root=*/true, &why))
-        << cell.name << "/par@" << threads << ": " << why;
+        << name << "/par@" << threads << ": " << why;
     if (threads == 1) {
       first_trace = par.trace;
       first_loop = par.loop_start;
     } else {
       // Bit-identical lasso at every thread count.
-      EXPECT_EQ(par.trace, first_trace) << cell.name << "/par@" << threads;
-      EXPECT_EQ(par.loop_start, first_loop) << cell.name << "/par@" << threads;
+      EXPECT_EQ(par.trace, first_trace) << name << "/par@" << threads;
+      EXPECT_EQ(par.loop_start, first_loop) << name << "/par@" << threads;
     }
   }
 
@@ -90,27 +100,26 @@ TEST_P(LassoReplayGrid, EveryEngineLassoReplaysThroughTheModel) {
   sym_opts.engine = EngineKind::kSymbolic;
   const auto sym = core::verify(violating_config(cell), cell.lemma, sym_opts);
   ASSERT_EQ(sym.engine_used, EngineKind::kSymbolic);
-  ASSERT_FALSE(sym.holds) << cell.name << "/sym: " << sym.verdict_text;
+  ASSERT_FALSE(sym.holds) << name << "/sym: " << sym.verdict_text;
   ASSERT_TRUE(validate_lasso(cluster, goal, sym.trace, sym.loop_start,
                              /*require_initial_root=*/true, &why))
-      << cell.name << "/sym: " << why;
+      << name << "/sym: " << why;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Violating, LassoReplayGrid,
-    ::testing::Values(ReplayCell{"hub_n3", 3, true, core::Lemma::kLiveness},
-                      ReplayCell{"hub_n4", 4, true, core::Lemma::kLiveness},
-                      ReplayCell{"hub_n3_nobigbang", 3, false, core::Lemma::kLiveness},
-                      ReplayCell{"hub_n3_reintegration", 3, true,
-                                 core::Lemma::kReintegration}),
-    [](const ::testing::TestParamInfo<ReplayCell>& info) {
-      return std::string(info.param.name);
-    });
+constexpr ReplayCell kReplayCells[] = {{3, core::Lemma::kLiveness, true},
+                                       {4, core::Lemma::kLiveness, true},
+                                       {3, core::Lemma::kLiveness, false},
+                                       {3, core::Lemma::kReintegration, true}};
+
+INSTANTIATE_TEST_SUITE_P(Violating, LassoReplayGrid, ::testing::ValuesIn(kReplayCells),
+                         [](const ::testing::TestParamInfo<ReplayCell>& info) {
+                           return replay_name(info.param);
+                         });
 
 TEST(LassoReplay, ValidatorRejectsCorruptedLassos) {
   // Sanity-check the validator itself: break a genuine lasso in each way it
   // is supposed to catch.
-  const ReplayCell cell{"hub_n3", 3, true, core::Lemma::kLiveness};
+  const ReplayCell cell = kReplayCells[0];  // hub_n3
   const tta::ClusterConfig cfg = core::prepare_config(violating_config(cell), cell.lemma);
   const tta::Cluster cluster(cfg);
   auto goal = [&](const tta::Cluster::State& s) {

@@ -15,7 +15,6 @@
 
 #include "support/rng.hpp"
 #include "support/sharded_state_index_map.hpp"
-#include "support/state_index_map.hpp"
 
 namespace tt {
 namespace {
@@ -32,15 +31,19 @@ TEST(LockFreeStateIndexMap, ShardCountRoundsUpToPowerOfTwo) {
 
 TEST(LockFreeStateIndexMap, SingleShardAssignsDenseIdsLikeStateIndexMap) {
   Map2 lockfree;  // 1 shard: the sequential engines' configuration
-  StateIndexMap<2> flat;
+  ShardedStateIndexMap<2> sharded(1);
   for (std::uint64_t i = 0; i < 20000; ++i) {
     const auto s = make_state(i % 7000, (i % 7000) * 31);
+    const std::size_t before = lockfree.size();
     const auto [id, fresh] = lockfree.insert_serial(s);
-    const auto [ref_id, ref_fresh] = flat.insert(s);
+    const auto [ref_id, ref_fresh] = sharded.insert_serial(s);
     ASSERT_EQ(id, ref_id) << "i=" << i;
     ASSERT_EQ(fresh, ref_fresh) << "i=" << i;
+    if (fresh) {
+      ASSERT_EQ(id, before) << "i=" << i;  // dense, in insertion order
+    }
   }
-  EXPECT_EQ(lockfree.size(), flat.size());
+  EXPECT_EQ(lockfree.size(), sharded.size());
 }
 
 // Bit-identity at the store level: with the same shard count, both stores

@@ -22,6 +22,29 @@ TEST(ShardedStateIndexMap, ShardCountRoundsUpToPowerOfTwo) {
   EXPECT_EQ(ShardedStateIndexMap<1>(16).shard_count(), 16u);
 }
 
+TEST(ShardedStateIndexMap, SingleShardAssignsDenseIdsInInsertionOrder) {
+  Map2 map(1);  // the sequential engines' configuration
+  const auto [i0, fresh0] = map.insert_serial(make_state(1, 2));
+  const auto [i1, fresh1] = map.insert_serial(make_state(3, 4));
+  const auto [i2, fresh2] = map.insert_serial(make_state(1, 2));
+  EXPECT_TRUE(fresh0);
+  EXPECT_TRUE(fresh1);
+  EXPECT_FALSE(fresh2);
+  EXPECT_EQ(i0, 0u);
+  EXPECT_EQ(i1, 1u);
+  EXPECT_EQ(i2, 0u);
+  EXPECT_EQ(map.size(), 2u);
+  EXPECT_EQ(map.at(1), make_state(3, 4));
+}
+
+TEST(ShardedStateIndexMap, FindAbsentReturnsEmpty) {
+  Map2 map(1);
+  EXPECT_EQ(map.find(make_state(9, 9)), Map2::kEmpty);
+  map.insert_serial(make_state(9, 9));
+  EXPECT_EQ(map.find(make_state(9, 9)), 0u);
+  EXPECT_EQ(map.find(make_state(9, 8)), Map2::kEmpty);
+}
+
 TEST(ShardedStateIndexMap, IdEncodesShardAndLocal) {
   Map2 map(16);
   for (std::uint64_t i = 0; i < 1000; ++i) {
@@ -189,6 +212,15 @@ TEST(ShardedStateIndexMap, PerShardCapThrowsStateCapacityError) {
   EXPECT_THROW(map.insert(make_state(99, 99)), StateCapacityError);
   EXPECT_THROW(map.insert_serial(make_state(77, 77)), StateCapacityError);
   EXPECT_EQ(map.size(), 4u);
+}
+
+TEST(ShardedStateIndexMap, ReserveRespectsCap) {
+  ShardedStateIndexMap<2> map(1, 64, /*max_states_per_shard=*/100);
+  map.reserve(1 << 20);  // silently clamped to the cap
+  EXPECT_LT(map.memory_bytes(), std::size_t{1} << 16);
+  for (std::uint64_t i = 0; i < 100; ++i) map.insert_serial(make_state(i, i));
+  EXPECT_THROW(map.insert_serial(make_state(1000, 1000)), StateCapacityError);
+  EXPECT_EQ(map.size(), 100u);
 }
 
 TEST(ShardedStateIndexMap, MemoryAccountingCoversAllShards) {

@@ -155,10 +155,14 @@ Naive naive_successors(const Cluster& cl, const State& s) {
 /// parameter byte images (and so their test names).
 enum class CellClass { kNodeFault, kFaultyHub, kRestarts, kTimeliness, kFeedbackOff, kMiddleFault };
 
+// gtest appends the cell's byte image to each test name; the explicit zero
+// bytes stand where the compiler would pad, so the name is the same in every
+// build.
 struct OracleCell {
   int n;
   CellClass kind;
   Reduction reduction;
+  std::uint8_t zero_pad[3] = {};
 };
 
 const char* to_string(CellClass k) {
